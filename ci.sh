@@ -5,10 +5,10 @@
 # external dependencies by design (DESIGN.md §8).
 set -eux
 
-# --workspace everywhere: the root facade does not depend on tyr-bench, so
-# without it `cargo build` would skip the `repro` binary the gate drives
-# (and `cargo test` would run only the facade's suites).
 cargo fmt --all --check
+# The memory model lives behind `MemPort` (crates/sim/src/mem.rs); an engine
+# that names the cache simulator again has grown a private copy of the port.
+if (cd crates/sim/src && grep -l CacheSim tagged.rs ordered.rs seqdf.rs seqvn.rs ooo.rs); then exit 1; fi
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc is part of the product: every public item is documented
 # (`#![warn(missing_docs)]` on every crate) and broken intra-doc links or
@@ -16,6 +16,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --offline --workspace --release
 cargo test --offline --workspace -q
+# The pinned benchmark crate must keep building against the harness API, and
+# its parity check compares the public launch calls (`run_system`,
+# `LoweredWorkload`, `run_probed`, `fuzz::run_engine`) with the same runs
+# sequenced by hand, cell for cell.
+sh benchmarks/check.sh
 # The full static-analysis + translation-validation battery over the suite
 # (tiny scale keeps the gate fast), including the Fig. 11 and ordered-FIFO
 # static-vs-dynamic cross-validations; exits nonzero on any diagnostic

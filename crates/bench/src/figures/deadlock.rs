@@ -24,7 +24,7 @@ pub fn fig11(ctx: &Ctx) {
     println!("  {:>12} {:>22} {:>18}", "dmv size", "global tags to finish", "TYR tags/block");
     for &n in sizes {
         let w = dmv::build(n, n, ctx.seed);
-        let lw = LoweredWorkload::new(&w);
+        let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
         // Demonstrate the deadlock and report it at pool size 8.
         if n == sizes[0] {
             let r = lw.run_unordered(TagPolicy::GlobalBounded { tags: 2 }, ctx.cfg.issue_width);
@@ -68,7 +68,6 @@ pub fn fig11(ctx: &Ctx) {
 /// that tax. This quantifies how much of the TYR-vs-unordered gap it
 /// explains.
 pub fn ablation_isatax(ctx: &Ctx) {
-    use tyr_dfg::lower::{lower_tagged, TaggingDiscipline};
     use tyr_sim::tagged::{TaggedConfig, TaggedEngine};
     println!("== Ablation: the token-synchronization ISA tax ==");
     let mut csv = CsvTable::new(["app", "config", "cycles", "dyn_instrs"]);
@@ -78,23 +77,14 @@ pub fn ablation_isatax(ctx: &Ctx) {
     );
     for app in ["dmv", "dmm", "smv", "spmspm", "tc"] {
         let w = by_name(app, ctx.scale, ctx.seed).expect("app");
-        let lw = LoweredWorkload::new(&w);
+        let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
         let un = lw.run_unordered(TagPolicy::GlobalUnbounded, ctx.cfg.issue_width);
         let run_tyr = |free_sync: bool| {
             let cfg = TaggedConfig {
-                issue_width: ctx.cfg.issue_width,
-                tag_policy: TagPolicy::local(ctx.cfg.tags),
-                args: w.args.clone(),
                 free_token_sync: free_sync,
-                ..TaggedConfig::default()
+                ..ctx.cfg.tagged(TagPolicy::local(ctx.cfg.tags), &w.args)
             };
-            let r = TaggedEngine::new(
-                &lower_tagged(&w.program, TaggingDiscipline::Tyr).expect("lowering"),
-                w.memory.clone(),
-                cfg,
-            )
-            .run()
-            .expect("tyr run");
+            let r = TaggedEngine::new(&lw.tyr, w.memory.clone(), cfg).run().expect("tyr run");
             assert!(r.is_complete());
             w.check(r.memory()).expect("oracle");
             r
@@ -136,7 +126,7 @@ pub fn ablation_storesize(ctx: &Ctx) {
     println!("  {:>8} {:>24} {:>24}", "app", "TYR max block store", "unordered store peak");
     for app in ["dmv", "dmm", "smv", "spmspm", "tc"] {
         let w = by_name(app, ctx.scale, ctx.seed).expect("app");
-        let lw = LoweredWorkload::new(&w);
+        let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
         let tyr = lw.run_tyr(TagPolicy::local(ctx.cfg.tags), ctx.cfg.issue_width);
         let un = lw.run_unordered(TagPolicy::GlobalUnbounded, ctx.cfg.issue_width);
         // Unordered has a single global (associative) store; its required
@@ -196,19 +186,15 @@ pub fn ablation_kbound(ctx: &Ctx) {
     let mut rows: Vec<tyr_workloads::Workload> = vec![single_w];
     rows.extend(apps.iter().map(|app| by_name(app, Scale::Tiny, ctx.seed).expect("app")));
     for w in &rows {
-        let lw = LoweredWorkload::new(w);
+        let lw = LoweredWorkload::with_config(w, &ctx.cfg);
         let kb = lw.run_unordered(TagPolicy::GlobalBounded { tags: k }, ctx.cfg.issue_width);
         let tyr = lw.run_tyr(TagPolicy::local(2), ctx.cfg.issue_width);
-        let kb_str = match &kb.outcome {
+        let describe = |outcome: &Outcome| match outcome {
             Outcome::Completed { cycles, .. } => format!("completed ({cycles} cyc)"),
             Outcome::Deadlock { cycle, .. } => format!("DEADLOCK @ {cycle}"),
             Outcome::TimedOut { cycle, .. } => format!("TIMEOUT @ {cycle}"),
         };
-        let tyr_str = match &tyr.outcome {
-            Outcome::Completed { cycles, .. } => format!("completed ({cycles} cyc)"),
-            Outcome::Deadlock { cycle, .. } => format!("DEADLOCK @ {cycle}"),
-            Outcome::TimedOut { cycle, .. } => format!("TIMEOUT @ {cycle}"),
-        };
+        let (kb_str, tyr_str) = (describe(&kb.outcome), describe(&tyr.outcome));
         println!("  {:>8} {kb_str:>26} {tyr_str:>22}", w.name);
         csv.push_row([w.name.clone(), kb_str, tyr_str]);
         assert!(tyr.is_complete(), "TYR must always complete");

@@ -19,16 +19,15 @@
 //! constrained global machine that still finishes, i.e. the fairest
 //! possible locality opponent.
 
-use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
-use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
-use tyr_sim::tagged::{TagPolicy, TaggedConfig, TaggedEngine};
-use tyr_sim::{CacheConfig, MemConfig, RunResult, SimError};
+use tyr_dfg::lower::TaggingDiscipline;
+use tyr_sim::tagged::TagPolicy;
+use tyr_sim::{CacheConfig, MemConfig, NoProbe, RunResult, SimError};
 use tyr_stats::ascii::{line_chart, Series};
 use tyr_stats::csv::CsvTable;
 use tyr_workloads::by_name;
 
 use crate::figures::Ctx;
-use crate::pool;
+use crate::{pool, Launch, LaunchError, RunConfig};
 
 /// The compared kernels: the suite's dense row-walk and the blocked matmul
 /// built for exactly this experiment.
@@ -54,9 +53,9 @@ fn mem_at(l1_bytes: u64) -> MemConfig {
 }
 
 /// One grid cell. Returns the result even if it wedged, and the raw
-/// [`SimError`] on engine faults — the bounded-global scan needs to observe
-/// both deadlocks *and* token leaks (an undersized global pool on a deep
-/// nest can deliver its returns while stranding tokens mid-machine);
+/// [`LaunchError`] on engine faults — the bounded-global scan needs to
+/// observe both deadlocks *and* token leaks (an undersized global pool on a
+/// deep nest can deliver its returns while stranding tokens mid-machine);
 /// [`checked`] enforces clean completion.
 fn run_cell(
     ctx: &Ctx,
@@ -64,40 +63,18 @@ fn run_cell(
     engine: &str,
     pool: usize,
     l1_bytes: u64,
-) -> Result<RunResult, SimError> {
+) -> Result<RunResult, LaunchError> {
     let w = by_name(kernel, ctx.scale, ctx.seed).expect("known kernel");
-    match engine {
-        "ordered" => {
-            let dfg = lower_ordered(&w.program).expect("ordered lowering");
-            let c = OrderedConfig {
-                issue_width: ctx.cfg.issue_width,
-                queue_depth: ctx.cfg.queue_depth,
-                args: w.args.clone(),
-                max_cycles: ctx.cfg.max_cycles * 16,
-                mem: mem_at(l1_bytes),
-                event_driven: ctx.cfg.event_driven,
-                ..OrderedConfig::default()
-            };
-            OrderedEngine::new(&dfg, w.memory.clone(), c).run()
-        }
-        _ => {
-            let policy = match engine {
-                "tagged-local" => TagPolicy::local(ctx.cfg.tags),
-                _ => TagPolicy::GlobalBounded { tags: pool },
-            };
-            let dfg = lower_tagged(&w.program, TaggingDiscipline::Tyr).expect("lowering");
-            let c = TaggedConfig {
-                issue_width: ctx.cfg.issue_width,
-                tag_policy: policy,
-                args: w.args.clone(),
-                max_cycles: ctx.cfg.max_cycles * 16,
-                mem: mem_at(l1_bytes),
-                event_driven: ctx.cfg.event_driven,
-                ..TaggedConfig::default()
-            };
-            TaggedEngine::new(&dfg, w.memory.clone(), c).run()
-        }
-    }
+    let cfg = RunConfig { mem: mem_at(l1_bytes), ..ctx.cfg.clone() };
+    let launch = match engine {
+        "tagged-local" => Launch::named("tyr", &cfg, &w.args),
+        "ordered" => Launch::named("ordered", &cfg, &w.args),
+        _ => Some(Launch::Tagged(
+            TaggingDiscipline::Tyr,
+            cfg.tagged(TagPolicy::GlobalBounded { tags: pool }, &w.args),
+        )),
+    };
+    launch.expect("known engine").run(&w.program, &w.memory, NoProbe)
 }
 
 /// Asserts a cell completed and produced the oracle's memory image.
@@ -119,7 +96,7 @@ fn bounded_global_sweep(ctx: &Ctx, kernel: &str) -> (usize, Vec<RunResult>) {
         let runs = pool::parallel_map(ctx.jobs, L1_SIZES.to_vec(), |l1| {
             match run_cell(ctx, kernel, "tagged-global-bounded", pool_size, l1) {
                 Ok(r) => Some(r),
-                Err(SimError::TokenLeak { .. }) => None,
+                Err(LaunchError::Sim(SimError::TokenLeak { .. })) => None,
                 Err(e) => panic!("tagged-global-bounded on {kernel} (l1 {l1}): {e}"),
             }
         });

@@ -87,7 +87,7 @@ pub fn ablation_explosion(ctx: &Ctx) {
     let mut first_tyr = 0u64;
     for &n in sizes {
         let w = dmv::build(n, n, ctx.seed);
-        let lw = LoweredWorkload::new(&w);
+        let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
         let un = lw.run_unordered(TagPolicy::GlobalUnbounded, ctx.cfg.issue_width);
         let ty = lw.run_tyr(TagPolicy::local(ctx.cfg.tags), ctx.cfg.issue_width);
         if first_tyr == 0 {
@@ -125,7 +125,7 @@ pub fn ablation_ooo(ctx: &Ctx) {
     };
     println!("== Ablation: out-of-order vN window sweep on dmv {n}x{n} (Fig. 5b) ==");
     let w = dmv::build(n, n, ctx.seed);
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let mut csv = CsvTable::new(["window", "cycles", "mean_ipc", "peak_live"]);
     println!("  {:>8} {:>12} {:>10} {:>12}", "window", "cycles", "mean IPC", "peak live");
     let vn = run_system(&w, System::SeqVn, &ctx.cfg);
@@ -137,8 +137,7 @@ pub fn ablation_ooo(ctx: &Ctx) {
         vn.peak_live()
     );
     for window in [4usize, 16, 64, 256, 1024] {
-        let cfg =
-            OooConfig { window, issue_width: 8, args: w.args.clone(), ..OooConfig::default() };
+        let cfg = OooConfig { window, issue_width: 8, ..ctx.cfg.ooo(&w.args) };
         let r = OooEngine::new(&w.program, w.memory.clone(), cfg).run().expect("ooo run");
         w.check(r.memory()).expect("ooo result");
         println!("  {:>8} {:>12} {:>10.2} {:>12}", window, r.cycles(), r.ipc.mean(), r.peak_live());
@@ -169,8 +168,8 @@ pub fn ablation_ooo(ctx: &Ctx) {
 /// proceed.
 pub fn ablation_latency(ctx: &Ctx) {
     use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
-    use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
-    use tyr_sim::tagged::{TaggedConfig, TaggedEngine};
+    use tyr_sim::ordered::OrderedEngine;
+    use tyr_sim::tagged::TaggedEngine;
     println!("== Ablation: memory-latency tolerance (smv) ==");
     let scale = if ctx.scale == Scale::Tiny { Scale::Tiny } else { Scale::Small };
     let w = tyr_workloads::by_name("smv", scale, ctx.seed).expect("smv");
@@ -178,14 +177,10 @@ pub fn ablation_latency(ctx: &Ctx) {
     let ord_dfg = lower_ordered(&w.program).expect("lowering");
     let mut csv = CsvTable::new(["mem_latency", "tyr4_cycles", "tyr64_cycles", "ordered_cycles"]);
     println!("  {:>12} {:>14} {:>14} {:>14}", "mem latency", "TYR (t=4)", "TYR (t=64)", "ordered");
+    // The swept latency replaces `--mem`; every other harness flag applies.
+    let at = |lat: u64| RunConfig { mem: tyr_sim::MemConfig::ideal(lat), ..ctx.cfg.clone() };
     let run_tyr = |tags: usize, lat: u64| {
-        let tcfg = TaggedConfig {
-            issue_width: ctx.cfg.issue_width,
-            tag_policy: TagPolicy::local(tags),
-            args: w.args.clone(),
-            mem: tyr_sim::MemConfig::ideal(lat),
-            ..TaggedConfig::default()
-        };
+        let tcfg = at(lat).tagged(TagPolicy::local(tags), &w.args);
         let r = TaggedEngine::new(&tyr_dfg, w.memory.clone(), tcfg).run().expect("tyr");
         w.check(r.memory()).expect("oracle");
         r
@@ -193,13 +188,7 @@ pub fn ablation_latency(ctx: &Ctx) {
     for lat in [1u64, 4, 16, 64] {
         let t4 = run_tyr(4, lat);
         let t64 = run_tyr(64, lat);
-        let ocfg = OrderedConfig {
-            issue_width: ctx.cfg.issue_width,
-            queue_depth: ctx.cfg.queue_depth,
-            args: w.args.clone(),
-            mem: tyr_sim::MemConfig::ideal(lat),
-            ..OrderedConfig::default()
-        };
+        let ocfg = at(lat).ordered(&w.args);
         let or = OrderedEngine::new(&ord_dfg, w.memory.clone(), ocfg).run().expect("ordered");
         w.check(or.memory()).expect("oracle");
         println!("  {:>12} {:>14} {:>14} {:>14}", lat, t4.cycles(), t64.cycles(), or.cycles());
@@ -227,7 +216,7 @@ pub fn fig17(ctx: &Ctx) {
     };
     println!("== Fig. 17: width x tags grid on spmspv ({n}x{n}, {nnz} nnz) ==");
     let w = spmspv::build(n, nnz, vnnz, ctx.seed);
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let widths = [16usize, 32, 64, 128, 256];
     let tag_counts = [2usize, 4, 8, 16, 32, 64, 128];
 

@@ -42,7 +42,7 @@ pub fn fig02(ctx: &Ctx) {
 pub fn fig09(ctx: &Ctx) {
     println!("== Fig. 9: dmv across TYR tag-space sizes ({} scale) ==", ctx.scale_label());
     let w = by_name("dmv", ctx.scale, ctx.seed).expect("dmv");
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let mut series = Vec::new();
     let mut csv = CsvTable::new(["tags", "cycle", "live_tokens"]);
 
@@ -80,7 +80,7 @@ pub fn fig09(ctx: &Ctx) {
 pub fn fig16(ctx: &Ctx) {
     println!("== Fig. 16: TYR tag-width sweep on spmspm ({} scale) ==", ctx.scale_label());
     let w = by_name("spmspm", ctx.scale, ctx.seed).expect("spmspm");
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let mut series = Vec::new();
     let mut csv = CsvTable::new(["tags", "cycles", "peak_live", "mean_live"]);
     let mut trace_csv = CsvTable::new(["tags", "cycle", "live_tokens"]);
@@ -120,7 +120,7 @@ pub fn fig16(ctx: &Ctx) {
 pub fn fig18(ctx: &Ctx) {
     println!("== Fig. 18: per-region tag tuning on dmm ({} scale) ==", ctx.scale_label());
     let w = by_name("dmm", ctx.scale, ctx.seed).expect("dmm");
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let base = lw.run_tyr(TagPolicy::local(ctx.cfg.tags), ctx.cfg.issue_width);
     let tuned = lw.run_tyr(
         TagPolicy::local_with(ctx.cfg.tags, vec![("dmm_i".into(), 8)]),

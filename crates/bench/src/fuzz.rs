@@ -34,13 +34,16 @@
 
 use std::time::Duration;
 
-use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
+use tyr_dfg::lower::{lower_tagged, TaggingDiscipline};
 use tyr_ir::{interp, pretty, Value};
-use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
-use tyr_sim::seqdf::{SeqDataflowConfig, SeqDataflowEngine};
-use tyr_sim::seqvn::{SeqVnConfig, SeqVnEngine};
-use tyr_sim::tagged::{TagPolicy, TaggedConfig, TaggedEngine};
-use tyr_sim::{CancelToken, FaultKind, FaultPlan, MemConfig, Outcome, RunResult, Watchdog};
+use tyr_sim::ooo::OooConfig;
+use tyr_sim::ordered::OrderedConfig;
+use tyr_sim::seqdf::SeqDataflowConfig;
+use tyr_sim::seqvn::SeqVnConfig;
+use tyr_sim::tagged::{TaggedConfig, TaggedEngine};
+use tyr_sim::{
+    CancelToken, FaultKind, FaultPlan, MemConfig, NoProbe, Outcome, RunResult, Watchdog,
+};
 use tyr_stats::locality::WorkingSet;
 use tyr_stats::shard::{ShardCrossings, ShardSpec};
 use tyr_verify::{analyze_footprint, analyze_live_state, verify_shards, ShardBudget};
@@ -48,7 +51,7 @@ use tyr_workloads::gen::{GenCase, Recipe};
 use tyr_workloads::{by_name, APP_NAMES};
 
 use crate::figures::Ctx;
-use crate::{pool, System};
+use crate::{pool, Launch, LaunchError, RunConfig, System};
 
 /// Deterministic cycle budget armed on every fuzz run. Generated programs
 /// finish in well under 100k cycles on every engine; a run that reaches the
@@ -143,6 +146,35 @@ pub fn oracle(case: &GenCase) -> Result<OracleResult, String> {
     Ok(OracleResult { returns: r.returns, out: mem.slice(case.out).to_vec() })
 }
 
+/// The harness parameters every fuzz run uses: 64-wide issue, 64 local
+/// tags, no cycle limit of the engine's own (the armed watchdog bounds the
+/// run instead), and the sweep's memory model and execution mode.
+fn fuzz_config(event_driven: bool, mem: &MemConfig) -> RunConfig {
+    RunConfig {
+        issue_width: 64,
+        tags: 64,
+        mem: mem.clone(),
+        max_cycles: u64::MAX,
+        event_driven,
+        ..RunConfig::default()
+    }
+}
+
+/// Arms `launch` for a robustness run: the watchdog on whichever engine it
+/// names, the fault plan on the fault-capable ones, and the use-after-free
+/// sanitizer on the tagged engine.
+fn armed(launch: Launch, faults: Option<FaultPlan>, watchdog: Watchdog) -> Launch {
+    match launch {
+        Launch::SeqVn(c) => Launch::SeqVn(SeqVnConfig { watchdog, ..c }),
+        Launch::SeqDf(c) => Launch::SeqDf(SeqDataflowConfig { watchdog, ..c }),
+        Launch::Ooo(c) => Launch::Ooo(OooConfig { watchdog, ..c }),
+        Launch::Ordered(c) => Launch::Ordered(OrderedConfig { faults, watchdog, ..c }),
+        Launch::Tagged(d, c) => {
+            Launch::Tagged(d, TaggedConfig { check_token_leaks: true, faults, watchdog, ..c })
+        }
+    }
+}
+
 /// Runs `case` on `sys` (optionally faulted, always watchdogged) and judges
 /// the result against `oracle`. Never panics: every failure mode comes back
 /// as a [`Verdict`]. Returns the verdict and the run's fault log.
@@ -159,79 +191,9 @@ pub fn run_engine(
     mem: &MemConfig,
     oracle: &OracleResult,
 ) -> (Verdict, Vec<tyr_sim::FaultRecord>) {
-    let res: Result<RunResult, String> = (|| {
-        let r = match sys {
-            System::SeqVn => {
-                let c = SeqVnConfig {
-                    args: case.args.clone(),
-                    max_cycles: u64::MAX,
-                    mem: mem.clone(),
-                    watchdog: dog,
-                };
-                SeqVnEngine::new(&case.program, case.memory.clone(), c).run()
-            }
-            System::SeqDf => {
-                let c = SeqDataflowConfig {
-                    issue_width: 64,
-                    args: case.args.clone(),
-                    max_cycles: u64::MAX,
-                    mem: mem.clone(),
-                    watchdog: dog,
-                };
-                SeqDataflowEngine::new(&case.program, case.memory.clone(), c).run()
-            }
-            System::Ordered => {
-                let dfg = lower_ordered(&case.program).map_err(|e| format!("lowering: {e}"))?;
-                let c = OrderedConfig {
-                    issue_width: 64,
-                    args: case.args.clone(),
-                    max_cycles: u64::MAX,
-                    mem: mem.clone(),
-                    faults,
-                    watchdog: dog,
-                    event_driven,
-                    ..OrderedConfig::default()
-                };
-                OrderedEngine::new(&dfg, case.memory.clone(), c).run()
-            }
-            System::Unordered => {
-                let dfg = lower_tagged(&case.program, TaggingDiscipline::UnorderedUnbounded)
-                    .map_err(|e| format!("lowering: {e}"))?;
-                let c = TaggedConfig {
-                    issue_width: 64,
-                    tag_policy: TagPolicy::GlobalUnbounded,
-                    args: case.args.clone(),
-                    max_cycles: u64::MAX,
-                    mem: mem.clone(),
-                    check_token_leaks: true,
-                    faults,
-                    watchdog: dog,
-                    event_driven,
-                    ..TaggedConfig::default()
-                };
-                TaggedEngine::new(&dfg, case.memory.clone(), c).run()
-            }
-            System::Tyr => {
-                let dfg = lower_tagged(&case.program, TaggingDiscipline::Tyr)
-                    .map_err(|e| format!("lowering: {e}"))?;
-                let c = TaggedConfig {
-                    issue_width: 64,
-                    tag_policy: TagPolicy::local_with(64, Vec::new()),
-                    args: case.args.clone(),
-                    max_cycles: u64::MAX,
-                    mem: mem.clone(),
-                    check_token_leaks: true,
-                    faults,
-                    watchdog: dog,
-                    event_driven,
-                    ..TaggedConfig::default()
-                };
-                TaggedEngine::new(&dfg, case.memory.clone(), c).run()
-            }
-        };
-        r.map_err(|e| e.to_string())
-    })();
-    judge(case, oracle, res)
+    let launch = Launch::of(sys, &fuzz_config(event_driven, mem), &case.args);
+    let res = armed(launch, faults, dog).run(&case.program, &case.memory, NoProbe);
+    judge(case, oracle, res.map_err(|e| e.to_string()))
 }
 
 /// Classifies a raw engine result against the oracle.
@@ -278,20 +240,20 @@ fn judge(
 /// Lowering errors, engine faults, and incomplete runs return `None`: they
 /// are sweep-1 differential findings, not soundness violations, and
 /// treating them as violations would make the shrinker chase the wrong
-/// predicate.
-pub fn wbound_violation(recipe: &Recipe, dog: Watchdog) -> Option<String> {
+/// predicate. The run uses the sweep's memory model and execution mode
+/// (`event_driven`, `mem`): a sound bound holds under every schedule.
+pub fn wbound_violation(
+    recipe: &Recipe,
+    dog: Watchdog,
+    event_driven: bool,
+    mem: &MemConfig,
+) -> Option<String> {
     let case = recipe.materialize();
     let Ok(dfg) = lower_tagged(&case.program, TaggingDiscipline::Tyr) else { return None };
-    let policy = TagPolicy::local(64);
+    let cfg = fuzz_config(event_driven, mem);
+    let policy = cfg.tyr_policy();
     let mut ws = WorkingSet::new();
-    let c = TaggedConfig {
-        issue_width: 64,
-        tag_policy: policy.clone(),
-        args: case.args.clone(),
-        max_cycles: u64::MAX,
-        watchdog: dog,
-        ..TaggedConfig::default()
-    };
+    let c = TaggedConfig { watchdog: dog, ..cfg.tagged(policy.clone(), &case.args) };
     let r = match TaggedEngine::with_probe(&dfg, case.memory.clone(), c, &mut ws).run() {
         Ok(r) => r,
         Err(_) => return None,
@@ -346,11 +308,18 @@ pub const FUZZ_SHARD_SEED: u64 = 5;
 /// provable cross-block race is the analysis working, not the plan lying —
 /// and such a pair is never claimed disjoint, so the dynamic side stays
 /// consistent. Lowering errors, engine faults, and incomplete runs return
-/// `None`, as in [`wbound_violation`].
-pub fn shard_violation(recipe: &Recipe, dog: Watchdog) -> Option<String> {
+/// `None`, and the run follows the sweep's `event_driven` and `mem`, as in
+/// [`wbound_violation`].
+pub fn shard_violation(
+    recipe: &Recipe,
+    dog: Watchdog,
+    event_driven: bool,
+    mem: &MemConfig,
+) -> Option<String> {
     let case = recipe.materialize();
     let Ok(dfg) = lower_tagged(&case.program, TaggingDiscipline::Tyr) else { return None };
-    let policy = TagPolicy::local(64);
+    let cfg = fuzz_config(event_driven, mem);
+    let policy = cfg.tyr_policy();
     let (cert, report) = verify_shards(
         "fuzz",
         &dfg,
@@ -378,14 +347,7 @@ pub fn shard_violation(recipe: &Recipe, dog: Watchdog) -> Option<String> {
         plain_store: cert.plain_store.clone(),
         node_block: dfg.nodes.iter().map(|n| n.block.0).collect(),
     });
-    let c = TaggedConfig {
-        issue_width: 64,
-        tag_policy: policy,
-        args: case.args.clone(),
-        max_cycles: u64::MAX,
-        watchdog: dog,
-        ..TaggedConfig::default()
-    };
+    let c = TaggedConfig { watchdog: dog, ..cfg.tagged(policy, &case.args) };
     let r = match TaggedEngine::with_probe(&dfg, case.memory.clone(), c, &mut sc).run() {
         Ok(r) => r,
         Err(_) => return None,
@@ -656,7 +618,7 @@ pub fn run(opts: &FuzzOpts) -> Result<(), String> {
         (0..opts.seeds).map(|s| (format!("wbound seed {s}"), s)).collect();
     let wtimed = pool::parallel_map_labeled_timed(opts.jobs, wseeds, |seed| {
         let recipe = Recipe::generate(seed, FUZZ_RECIPE_SIZE);
-        (seed, wbound_violation(&recipe, dog(&cancel)))
+        (seed, wbound_violation(&recipe, dog(&cancel), opts.event_driven, &opts.mem))
     });
     let wlat = pool::latency_histogram(&wtimed);
     eprintln!("  [wall] w-bound sweep (us/seed): {wlat}");
@@ -668,7 +630,8 @@ pub fn run(opts: &FuzzOpts) -> Result<(), String> {
     for (seed, why) in unsound {
         let original = Recipe::generate(seed, FUZZ_RECIPE_SIZE);
         let fails = |r: &Recipe| {
-            wbound_violation(r, Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET)).is_some()
+            let dog = Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET);
+            wbound_violation(r, dog, opts.event_driven, &opts.mem).is_some()
         };
         let shrunk = shrink(&original, fails);
         println!("{}", render_witness(seed, &original, &shrunk, why));
@@ -681,7 +644,7 @@ pub fn run(opts: &FuzzOpts) -> Result<(), String> {
         (0..opts.seeds).map(|s| (format!("shard seed {s}"), s)).collect();
     let stimed = pool::parallel_map_labeled_timed(opts.jobs, sseeds, |seed| {
         let recipe = Recipe::generate(seed, FUZZ_RECIPE_SIZE);
-        (seed, shard_violation(&recipe, dog(&cancel)))
+        (seed, shard_violation(&recipe, dog(&cancel), opts.event_driven, &opts.mem))
     });
     let slat = pool::latency_histogram(&stimed);
     eprintln!("  [wall] shard sweep (us/seed): {slat}");
@@ -693,7 +656,8 @@ pub fn run(opts: &FuzzOpts) -> Result<(), String> {
     for (seed, why) in broken {
         let original = Recipe::generate(seed, FUZZ_RECIPE_SIZE);
         let fails = |r: &Recipe| {
-            shard_violation(r, Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET)).is_some()
+            let dog = Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET);
+            shard_violation(r, dog, opts.event_driven, &opts.mem).is_some()
         };
         let shrunk = shrink(&original, fails);
         println!("{}", render_witness(seed, &original, &shrunk, why));
@@ -855,48 +819,11 @@ pub fn chaos(ctx: &Ctx, kernel: &str, engine: &str, plan_text: Option<&str>) -> 
     // The suite kernels run against their own oracle (`Workload::check`),
     // not the interpreter: chaos wants the production check path.
     let dog = Watchdog::none().with_cycle_budget(ctx.cfg.max_cycles.min(CHAOS_CYCLE_BUDGET));
-    let res: Result<RunResult, String> = match sys {
-        System::Ordered => {
-            let dfg = lower_ordered(&w.program).map_err(|e| format!("lowering: {e}"))?;
-            let c = OrderedConfig {
-                issue_width: ctx.cfg.issue_width,
-                queue_depth: ctx.cfg.queue_depth,
-                args: w.args.clone(),
-                max_cycles: u64::MAX,
-                mem: ctx.cfg.mem.clone(),
-                faults: Some(plan.clone()),
-                watchdog: dog,
-                event_driven: ctx.cfg.event_driven,
-                ..OrderedConfig::default()
-            };
-            OrderedEngine::new(&dfg, w.memory.clone(), c).run().map_err(|e| e.to_string())
-        }
-        _ => {
-            let discipline = if sys == System::Tyr {
-                TaggingDiscipline::Tyr
-            } else {
-                TaggingDiscipline::UnorderedUnbounded
-            };
-            let policy = if sys == System::Tyr {
-                TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone())
-            } else {
-                TagPolicy::GlobalUnbounded
-            };
-            let dfg = lower_tagged(&w.program, discipline).map_err(|e| format!("lowering: {e}"))?;
-            let c = TaggedConfig {
-                issue_width: ctx.cfg.issue_width,
-                tag_policy: policy,
-                args: w.args.clone(),
-                max_cycles: u64::MAX,
-                mem: ctx.cfg.mem.clone(),
-                check_token_leaks: true,
-                faults: Some(plan.clone()),
-                watchdog: dog,
-                event_driven: ctx.cfg.event_driven,
-                ..TaggedConfig::default()
-            };
-            TaggedEngine::new(&dfg, w.memory.clone(), c).run().map_err(|e| e.to_string())
-        }
+    let cfg = RunConfig { max_cycles: u64::MAX, ..ctx.cfg.clone() };
+    let launch = Launch::of(sys, &cfg, &w.args);
+    let res = match armed(launch, Some(plan.clone()), dog).run(&w.program, &w.memory, NoProbe) {
+        Err(e @ LaunchError::Lowering(_)) => return Err(e.to_string()),
+        other => other,
     };
 
     match res {
@@ -966,7 +893,10 @@ mod tests {
         for seed in 0..8 {
             let recipe = Recipe::generate(seed, 12);
             let dog = Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET);
-            assert_eq!(wbound_violation(&recipe, dog), None, "seed {seed}");
+            for event_driven in [true, false] {
+                let v = wbound_violation(&recipe, dog.clone(), event_driven, &MemConfig::default());
+                assert_eq!(v, None, "seed {seed}");
+            }
         }
     }
 
@@ -977,7 +907,8 @@ mod tests {
         for seed in 0..40 {
             let recipe = Recipe::generate(seed, 12);
             let dog = Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET);
-            assert_eq!(shard_violation(&recipe, dog), None, "seed {seed}");
+            let v = shard_violation(&recipe, dog, true, &MemConfig::default());
+            assert_eq!(v, None, "seed {seed}");
         }
     }
 
@@ -1076,14 +1007,9 @@ mod tests {
         let w = dmv::build(4, 4, 1);
         let lw = crate::LoweredWorkload::new(&w);
         let run = |watchdog: Watchdog, event_driven: bool| {
-            let c = TaggedConfig {
-                issue_width: 64,
-                tag_policy: TagPolicy::GlobalBounded { tags: 2 },
-                args: w.args.clone(),
-                watchdog,
-                event_driven,
-                ..TaggedConfig::default()
-            };
+            let policy = tyr_sim::tagged::TagPolicy::GlobalBounded { tags: 2 };
+            let cfg = fuzz_config(event_driven, &MemConfig::default());
+            let c = TaggedConfig { watchdog, ..cfg.tagged(policy, &w.args) };
             TaggedEngine::new(&lw.tyr, w.memory.clone(), c).run().unwrap()
         };
         let free = run(Watchdog::none(), true);
@@ -1137,13 +1063,11 @@ mod tests {
             // always reachable.
             let plan =
                 FaultPlan::new(seed).with(FaultKind::MemDelay, 3).with(FaultKind::NodeStick, 1);
+            let cfg = fuzz_config(true, &MemConfig::default());
             let c = TaggedConfig {
-                issue_width: 64,
-                tag_policy: TagPolicy::local(64),
-                args: case.args.clone(),
                 faults: Some(plan),
                 watchdog: Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET),
-                ..TaggedConfig::default()
+                ..cfg.tagged(cfg.tyr_policy(), &case.args)
             };
             let mut counter = FaultCounter::default();
             let r = TaggedEngine::with_probe(&dfg, case.memory.clone(), c, &mut counter)

@@ -95,7 +95,7 @@ pub fn run(ctx: &Ctx, kernel: &str, engine: &str) -> Result<(), String> {
         // harness policy.
         _ => (
             lower_tagged(&w.program, TaggingDiscipline::Tyr).map_err(|e| e.to_string())?,
-            Some(TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone())),
+            Some(ctx.cfg.tyr_policy()),
         ),
     };
 

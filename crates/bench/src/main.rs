@@ -57,6 +57,25 @@ options:  --mem MODEL memory model: 'ideal[:LAT]' (default ideal:1) or a two-lev
           --ticked    disable the event-driven core (tick every idle cycle); stats are bit-identical
                       either way -- use to cross-check that claim, at a wall-clock cost";
 
+/// The value following option `name`; a missing one is a usage error
+/// (exit 2).
+fn value_of(name: &str, args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("missing value for {name}\n{USAGE}");
+        std::process::exit(2);
+    })
+}
+
+/// The numeric value following option `name`; a missing or malformed one is
+/// a usage error (exit 2), like a bad `--scale` or `--mem`.
+fn num_of<T: std::str::FromStr>(name: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let value = value_of(name, args);
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value '{value}' for {name}\n{USAGE}");
+        std::process::exit(2);
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = Ctx::default();
@@ -72,15 +91,9 @@ fn main() -> ExitCode {
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut opt_value = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--scale" => {
-                ctx.scale = match opt_value("--scale").as_str() {
+                ctx.scale = match value_of(&arg, &mut it).as_str() {
                     "tiny" => Scale::Tiny,
                     "small" => Scale::Small,
                     "paper" => Scale::Paper,
@@ -90,18 +103,13 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--seed" => ctx.seed = opt_value("--seed").parse().expect("numeric seed"),
-            "--width" => ctx.cfg.issue_width = opt_value("--width").parse().expect("numeric width"),
-            "--tags" => ctx.cfg.tags = opt_value("--tags").parse().expect("numeric tags"),
-            "--queue" => {
-                ctx.cfg.queue_depth = opt_value("--queue").parse().expect("numeric queue depth")
-            }
-            "--mem-latency" => {
-                ctx.cfg.mem =
-                    MemConfig::ideal(opt_value("--mem-latency").parse().expect("numeric latency"))
-            }
+            "--seed" => ctx.seed = num_of(&arg, &mut it),
+            "--width" => ctx.cfg.issue_width = num_of(&arg, &mut it),
+            "--tags" => ctx.cfg.tags = num_of(&arg, &mut it),
+            "--queue" => ctx.cfg.queue_depth = num_of(&arg, &mut it),
+            "--mem-latency" => ctx.cfg.mem = MemConfig::ideal(num_of(&arg, &mut it)),
             "--mem" => {
-                ctx.cfg.mem = match MemConfig::parse(&opt_value("--mem")) {
+                ctx.cfg.mem = match MemConfig::parse(&value_of(&arg, &mut it)) {
                     Ok(m) => m,
                     Err(e) => {
                         eprintln!("{e}\n{USAGE}");
@@ -110,7 +118,7 @@ fn main() -> ExitCode {
                 }
             }
             "--jobs" => {
-                ctx.jobs = opt_value("--jobs").parse().expect("numeric job count");
+                ctx.jobs = num_of(&arg, &mut it);
                 if ctx.jobs == 0 {
                     eprintln!("--jobs must be at least 1\n{USAGE}");
                     return ExitCode::from(2);
@@ -118,21 +126,14 @@ fn main() -> ExitCode {
             }
             "--quick" => quick = true,
             "--ticked" => ctx.cfg.event_driven = false,
-            "--seeds" => {
-                fuzz_seeds = Some(opt_value("--seeds").parse().expect("numeric seed count"))
-            }
-            "--faults" => fuzz_faults = Some(opt_value("--faults")),
-            "--shards" => shard_count = opt_value("--shards").parse().expect("numeric shard count"),
-            "--deadline-secs" => {
-                fuzz_deadline =
-                    Some(opt_value("--deadline-secs").parse().expect("numeric deadline"))
-            }
-            "--csv" => ctx.csv_dir = Some(PathBuf::from(opt_value("--csv"))),
-            "--out" => trace_out = Some(PathBuf::from(opt_value("--out"))),
-            "--window" => {
-                timeline_window = Some(opt_value("--window").parse().expect("numeric window size"))
-            }
-            "--events" => events_out = Some(PathBuf::from(opt_value("--events"))),
+            "--seeds" => fuzz_seeds = Some(num_of(&arg, &mut it)),
+            "--faults" => fuzz_faults = Some(value_of(&arg, &mut it)),
+            "--shards" => shard_count = num_of(&arg, &mut it),
+            "--deadline-secs" => fuzz_deadline = Some(num_of(&arg, &mut it)),
+            "--csv" => ctx.csv_dir = Some(PathBuf::from(value_of(&arg, &mut it))),
+            "--out" => trace_out = Some(PathBuf::from(value_of(&arg, &mut it))),
+            "--window" => timeline_window = Some(num_of(&arg, &mut it)),
+            "--events" => events_out = Some(PathBuf::from(value_of(&arg, &mut it))),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;

@@ -73,7 +73,7 @@ pub fn run(ctx: &Ctx, kernel: &str, engine: &str, shards: usize) -> Result<(), S
 
     // Static side: plan + certificate for the lowering this engine runs.
     let title = format!("{kernel}/{engine}/shard");
-    let tyr_policy = TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone());
+    let tyr_policy = ctx.cfg.tyr_policy();
     let global_policy = TagPolicy::GlobalBounded { tags: BOUNDED_POOL };
     let caps = ChannelCapacity::uniform(ctx.cfg.queue_depth);
     let (dfg, budget) = match engine {
@@ -201,7 +201,7 @@ mod tests {
         let ctx = Ctx { scale: Scale::Tiny, ..Ctx::default() };
         let w = by_name("dmv", ctx.scale, ctx.seed).unwrap();
         let dfg = lower_tagged(&w.program, TaggingDiscipline::Tyr).unwrap();
-        let policy = TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone());
+        let policy = ctx.cfg.tyr_policy();
         let render = |_: usize| {
             let (cert, report) = verify_shards(
                 "det",

@@ -16,18 +16,13 @@
 
 use std::path::{Path, PathBuf};
 
-use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
-use tyr_sim::ooo::{OooConfig, OooEngine};
-use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
-use tyr_sim::seqdf::{SeqDataflowConfig, SeqDataflowEngine};
-use tyr_sim::seqvn::{SeqVnConfig, SeqVnEngine};
-use tyr_sim::tagged::{TagPolicy, TaggedConfig, TaggedEngine};
 use tyr_sim::RunResult;
 use tyr_stats::probe::{ChromeTrace, EventKind, Probe};
 use tyr_stats::{NodeProfiler, StallReason};
 use tyr_workloads::{by_name, Workload, APP_NAMES};
 
 use crate::figures::Ctx;
+use crate::{Launch, LaunchError};
 
 /// Engine names the trace subcommand accepts.
 pub const ENGINE_NAMES: [&str; 7] =
@@ -134,91 +129,12 @@ pub fn run_probed<P: Probe>(
     engine: &str,
     probe: P,
 ) -> Result<RunResult, String> {
-    if !ENGINE_NAMES.contains(&engine) {
-        return Err(format!("unknown engine '{engine}' (known: {})", ENGINE_NAMES.join(" ")));
-    }
-    let cfg = &ctx.cfg;
-    let res = match engine {
-        "tyr" | "tagged-global-bounded" => {
-            // Both use the TYR elaboration: bounded global pools need
-            // the barrier/free structure to recycle tags at all.
-            let dfg = lower_tagged(&w.program, TaggingDiscipline::Tyr)
-                .map_err(|e| format!("lowering: {e}"))?;
-            let policy = if engine == "tyr" {
-                TagPolicy::local_with(cfg.tags, cfg.tag_overrides.clone())
-            } else {
-                TagPolicy::GlobalBounded { tags: BOUNDED_POOL }
-            };
-            let c = TaggedConfig {
-                issue_width: cfg.issue_width,
-                tag_policy: policy,
-                args: w.args.clone(),
-                max_cycles: cfg.max_cycles,
-                mem: cfg.mem.clone(),
-                event_driven: cfg.event_driven,
-                ..TaggedConfig::default()
-            };
-            TaggedEngine::with_probe(&dfg, w.memory.clone(), c, probe).run()
-        }
-        "unordered" => {
-            let dfg = lower_tagged(&w.program, TaggingDiscipline::UnorderedUnbounded)
-                .map_err(|e| format!("lowering: {e}"))?;
-            let c = TaggedConfig {
-                issue_width: cfg.issue_width,
-                tag_policy: TagPolicy::GlobalUnbounded,
-                args: w.args.clone(),
-                max_cycles: cfg.max_cycles,
-                mem: cfg.mem.clone(),
-                event_driven: cfg.event_driven,
-                ..TaggedConfig::default()
-            };
-            TaggedEngine::with_probe(&dfg, w.memory.clone(), c, probe).run()
-        }
-        "ordered" => {
-            let dfg = lower_ordered(&w.program).map_err(|e| format!("lowering: {e}"))?;
-            let c = OrderedConfig {
-                issue_width: cfg.issue_width,
-                queue_depth: cfg.queue_depth,
-                depth_overrides: Vec::new(),
-                args: w.args.clone(),
-                max_cycles: cfg.max_cycles * 16,
-                mem: cfg.mem.clone(),
-                event_driven: cfg.event_driven,
-                ..OrderedConfig::default()
-            };
-            OrderedEngine::with_probe(&dfg, w.memory.clone(), c, probe).run()
-        }
-        "seqdf" => {
-            let c = SeqDataflowConfig {
-                issue_width: cfg.issue_width,
-                args: w.args.clone(),
-                max_cycles: cfg.max_cycles * 16,
-                mem: cfg.mem.clone(),
-                ..SeqDataflowConfig::default()
-            };
-            SeqDataflowEngine::with_probe(&w.program, w.memory.clone(), c, probe).run()
-        }
-        "seqvn" => {
-            let c = SeqVnConfig {
-                args: w.args.clone(),
-                max_cycles: cfg.max_cycles * 64,
-                mem: cfg.mem.clone(),
-                ..SeqVnConfig::default()
-            };
-            SeqVnEngine::with_probe(&w.program, w.memory.clone(), c, probe).run()
-        }
-        "ooo" => {
-            let c = OooConfig {
-                args: w.args.clone(),
-                max_instrs: cfg.max_cycles * 64,
-                mem: cfg.mem.clone(),
-                ..OooConfig::default()
-            };
-            OooEngine::with_probe(&w.program, w.memory.clone(), c, probe).run()
-        }
-        _ => unreachable!("validated above"),
-    };
-    res.map_err(|e| format!("{engine} on {}: {e}", w.name))
+    let launch = Launch::named(engine, &ctx.cfg, &w.args)
+        .ok_or_else(|| format!("unknown engine '{engine}' (known: {})", ENGINE_NAMES.join(" ")))?;
+    launch.run(&w.program, &w.memory, probe).map_err(|e| match e {
+        LaunchError::Lowering(_) => e.to_string(),
+        LaunchError::Sim(e) => format!("{engine} on {}: {e}", w.name),
+    })
 }
 
 /// Prints the profile, writes and validates the Chrome trace.

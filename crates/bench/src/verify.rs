@@ -60,7 +60,7 @@ pub fn run(ctx: &Ctx) -> bool {
     let mut warnings = 0usize;
 
     // The policies each elaboration is meant to run under in the harness.
-    let tyr_policy = TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone());
+    let tyr_policy = ctx.cfg.tyr_policy();
     let lowerings: &[(TaggingDiscipline, &str, Option<&TagPolicy>)] = &[
         (TaggingDiscipline::Tyr, "tyr", Some(&tyr_policy)),
         // Bounded-global runs reuse the barriered graph; its demand under a
@@ -155,7 +155,7 @@ fn fig11_cross_validation(ctx: &Ctx) -> usize {
     );
 
     // Dynamic side: the same graph under the same pool really deadlocks.
-    let lw = LoweredWorkload::new(&w);
+    let lw = LoweredWorkload::with_config(&w, &ctx.cfg);
     let r = lw.run_unordered(TagPolicy::GlobalBounded { tags: pool }, ctx.cfg.issue_width);
     check("dynamic: GlobalBounded{8} deadlocks on dmv", !r.is_complete());
 
@@ -208,7 +208,7 @@ fn workingset_cross_validation(ctx: &Ctx) -> usize {
     // Leg 2: W001 + W002 per kernel on the tyr engine (the policy the
     // harness runs with, so the static and dynamic sides see the same
     // configuration).
-    let policy = TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone());
+    let policy = ctx.cfg.tyr_policy();
     for w in &suite(Scale::Tiny, ctx.seed) {
         let dfg = match lower_tagged(&w.program, TaggingDiscipline::Tyr) {
             Ok(d) => d,
@@ -289,7 +289,7 @@ fn shard_cross_validation(ctx: &Ctx) -> usize {
         }
     };
 
-    let policy = TagPolicy::local_with(ctx.cfg.tags, ctx.cfg.tag_overrides.clone());
+    let policy = ctx.cfg.tyr_policy();
     for w in &suite(Scale::Tiny, ctx.seed) {
         let dfg = match lower_tagged(&w.program, TaggingDiscipline::Tyr) {
             Ok(d) => d,
@@ -412,13 +412,9 @@ fn ordered_cross_validation(ctx: &Ctx) -> usize {
                 .iter()
                 .any(|d| d.code == Code::ChannelBelowMinimum);
             let cfg = OrderedConfig {
-                issue_width: ctx.cfg.issue_width,
                 queue_depth: depth,
                 depth_overrides: overrides,
-                args: w.args.clone(),
-                max_cycles: 200_000_000,
-                mem: ctx.cfg.mem.clone(),
-                ..OrderedConfig::default()
+                ..ctx.cfg.ordered(&w.args)
             };
             let (completed, witness) = match OrderedEngine::new(&dfg, w.memory.clone(), cfg).run() {
                 Ok(r) => {

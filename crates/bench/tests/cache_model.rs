@@ -11,10 +11,17 @@
 //! 3. **Probe parity** — the `mem-miss` JSONL event count equals
 //!    `RunResult::mem_misses` on every engine, so the streaming telemetry
 //!    and the summary stats can never drift apart.
+//! 4. **Full stat set on every exit** — a completed, a deadlocked and a
+//!    timed-out run of the tagged and ordered engines all carry the cache
+//!    statistics, the access counters and the fault log.
 
 use tyr_bench::figures::Ctx;
 use tyr_bench::{run_system, timeline, RunConfig, System};
-use tyr_sim::MemConfig;
+use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
+use tyr_dfg::NodeKind;
+use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
+use tyr_sim::tagged::{TagPolicy, TaggedConfig, TaggedEngine};
+use tyr_sim::{FaultKind, FaultPlan, MemConfig, Outcome, RunResult, Watchdog};
 use tyr_stats::TimelineConfig;
 use tyr_workloads::{by_name, Scale, APP_NAMES, CACHE_NAMES};
 
@@ -99,4 +106,55 @@ fn mem_miss_probe_count_matches_summary_stats() {
             "{engine}: hits + misses covers every access"
         );
     }
+}
+
+#[test]
+fn every_run_exit_carries_the_full_stat_set() {
+    let w = by_name("dmv", Scale::Tiny, SEED).unwrap();
+    let cfg = cfg_with(TIGHT_CACHE);
+    // Delays are absorbed, so the armed plan changes no outcome below.
+    let plan = || Some(FaultPlan::new(SEED).with(FaultKind::MemDelay, 2));
+    let budget = Watchdog::none().with_cycle_budget(40);
+    let check = |what: &str, r: RunResult| {
+        assert!(r.mem_stats.is_some(), "{what}: cache stats");
+        assert!(r.mem_loads > 0, "{what}: load count");
+        assert!(r.mem_hits() + r.mem_misses() > 0, "{what}: hierarchy traffic");
+        assert!(!r.faults.is_empty(), "{what}: fault log");
+        r.outcome
+    };
+
+    let dfg = lower_tagged(&w.program, TaggingDiscipline::Tyr).unwrap();
+    let tagged = |policy: TagPolicy, watchdog: Watchdog| {
+        let c = TaggedConfig { faults: plan(), watchdog, ..cfg.tagged(policy, &w.args) };
+        TaggedEngine::new(&dfg, w.memory.clone(), c).run().unwrap()
+    };
+    let done = check("tagged completed", tagged(cfg.tyr_policy(), Watchdog::none()));
+    assert!(matches!(done, Outcome::Completed { .. }), "{done:?}");
+    let pool = TagPolicy::GlobalBounded { tags: tyr_bench::trace::BOUNDED_POOL };
+    let wedge = check("tagged deadlock", tagged(pool, Watchdog::none()));
+    assert!(matches!(wedge, Outcome::Deadlock { .. }), "{wedge:?}");
+    let cut = check("tagged timeout", tagged(cfg.tyr_policy(), budget.clone()));
+    assert!(matches!(cut, Outcome::TimedOut { .. }), "{cut:?}");
+
+    let dfg = lower_ordered(&w.program).unwrap();
+    // Squeezing the back edge (input 2) of the outer loop's first carry to
+    // capacity 0 lets the first row through, then wedges the loop behind
+    // back-pressure: the carried value can never be delivered.
+    let victim = dfg
+        .nodes
+        .iter()
+        .position(
+            |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+        )
+        .expect("dmv loops") as u32;
+    let ordered = |depth_overrides: Vec<((u32, u16), usize)>, watchdog: Watchdog| {
+        let c = OrderedConfig { depth_overrides, faults: plan(), watchdog, ..cfg.ordered(&w.args) };
+        OrderedEngine::new(&dfg, w.memory.clone(), c).run().unwrap()
+    };
+    let done = check("ordered completed", ordered(Vec::new(), Watchdog::none()));
+    assert!(matches!(done, Outcome::Completed { .. }), "{done:?}");
+    let wedge = check("ordered deadlock", ordered(vec![((victim, 2), 0)], Watchdog::none()));
+    assert!(matches!(wedge, Outcome::Deadlock { .. }), "{wedge:?}");
+    let cut = check("ordered timeout", ordered(Vec::new(), budget));
+    assert!(matches!(cut, Outcome::TimedOut { .. }), "{cut:?}");
 }

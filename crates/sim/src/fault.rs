@@ -11,7 +11,7 @@
 //! plan through their config. Every applied fault is recorded twice: as a
 //! [`FaultRecord`] in [`RunResult::faults`](crate::RunResult::faults) and,
 //! when a probe is attached, as a
-//! [`ProbeEvent::FaultInjected`](tyr_stats::probe::ProbeEvent::FaultInjected)
+//! [`ProbeEvent::FaultInjected`]
 //! event — one event per record, so probe parity is checkable. A run with
 //! no plan takes a single `Option` test per candidate site and is
 //! bit-identical to a run built before this layer existed.
@@ -25,7 +25,8 @@
 
 use std::fmt;
 
-use tyr_stats::probe::FaultKind;
+use tyr_ir::Value;
+use tyr_stats::probe::{FaultKind, Probe, ProbeEvent};
 
 /// One applied fault, as recorded in
 /// [`RunResult::faults`](crate::RunResult::faults).
@@ -217,21 +218,25 @@ impl FaultState {
     }
 
     /// Whether `node` is (or just became) the stuck victim. The first
-    /// candidate that wins the strike roll is stuck for the rest of the run.
-    pub(crate) fn is_stuck(&mut self, cycle: u64, node: u32) -> bool {
+    /// candidate that wins the strike roll is stuck for the rest of the run;
+    /// latching it is logged as a [`FaultKind::NodeStick`] injection.
+    pub(crate) fn stick<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        cycle: u64,
+        node: u32,
+        label: &str,
+    ) -> bool {
         if self.stuck == Some(node) {
             return true;
         }
-        if self.stuck.is_none() && self.strike(cycle, FaultKind::NodeStick) {
-            self.stuck = Some(node);
-            return true;
+        if self.stuck.is_some() || !self.strike(cycle, FaultKind::NodeStick) {
+            return false;
         }
-        false
-    }
-
-    /// The node latched by a stick fault, if any.
-    pub(crate) fn stuck_node(&self) -> Option<u32> {
-        self.stuck
+        self.stuck = Some(node);
+        let detail = format!("node '{label}' wedged; it never fires again");
+        self.inject(probe, cycle, node, FaultKind::NodeStick, detail);
+        true
     }
 
     /// Whether `kind` still has injection budget. Event-driven engines use
@@ -248,9 +253,51 @@ impl FaultState {
         self.window
     }
 
-    /// Records an applied fault (exactly one record per injection).
-    pub(crate) fn record(&mut self, cycle: u64, node: u32, kind: FaultKind, detail: String) {
+    /// Logs an applied fault and mirrors it into the probe stream: exactly
+    /// one [`FaultRecord`] and one `FaultInjected` event per injection, which
+    /// is what keeps [`RunResult::faults`](crate::RunResult) and the event
+    /// count in step.
+    pub(crate) fn inject<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        cycle: u64,
+        node: u32,
+        kind: FaultKind,
+        detail: String,
+    ) {
         self.log.push(FaultRecord { cycle, node, kind, detail });
+        if P::ENABLED {
+            probe.event(cycle, ProbeEvent::FaultInjected { node, kind });
+        }
+    }
+
+    /// Applies the memory-response faults to the response of `node` (named
+    /// `label`): a bit flip of `val` — load responses only; a store's
+    /// completion token carries no data, so flipping it would perturb
+    /// nothing — then a delay. Returns the extra delay in cycles (0 if the
+    /// delay fault did not strike).
+    pub(crate) fn perturb_mem_response<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        cycle: u64,
+        node: u32,
+        label: &str,
+        is_load: bool,
+        val: &mut Value,
+    ) -> u64 {
+        if is_load && self.strike(cycle, FaultKind::MemFlip) {
+            let before = *val;
+            *val ^= self.mask();
+            let detail = format!("flipped load response at '{label}': {before} -> {val}");
+            self.inject(probe, cycle, node, FaultKind::MemFlip, detail);
+        }
+        if !self.strike(cycle, FaultKind::MemDelay) {
+            return 0;
+        }
+        let extra = self.extra_delay();
+        let detail = format!("delayed memory response at '{label}' by {extra} extra cycle(s)");
+        self.inject(probe, cycle, node, FaultKind::MemDelay, detail);
+        extra
     }
 
     /// A nonzero corruption mask.
@@ -271,6 +318,7 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tyr_stats::probe::NoProbe;
 
     #[test]
     fn parse_accepts_counts_and_window() {
@@ -327,7 +375,7 @@ mod tests {
         let mut victim = None;
         for cycle in 0..1000 {
             for node in [4u32, 9] {
-                if state.is_stuck(cycle, node) {
+                if state.stick(&mut NoProbe, cycle, node, "n") {
                     victim.get_or_insert(node);
                     assert_eq!(victim, Some(node), "stuck victim never changes");
                 }

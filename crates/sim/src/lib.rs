@@ -37,9 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod core;
 pub mod event;
 pub mod fault;
 pub mod fxhash;
+mod mem;
 pub mod ooo;
 pub mod ordered;
 pub mod result;

@@ -29,9 +29,11 @@ use tyr_ir::{MemoryImage, Program, Value};
 use tyr_stats::probe::{NoProbe, Probe, ProbeEvent};
 use tyr_stats::{IpcHistogram, Trace};
 
-use crate::cache::{CacheSim, HitLevel, MemConfig};
+use crate::cache::MemConfig;
+use crate::core::{declare_program, Core, Halt};
+use crate::mem::MemPort;
 use crate::result::{Outcome, RunResult, SimError, TimeoutCause};
-use crate::watchdog::{Watchdog, WatchdogState};
+use crate::watchdog::Watchdog;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -255,42 +257,25 @@ struct OooTracer<P: Probe> {
     /// invariant) can be referenced arbitrarily late, so the whole table is
     /// kept: 8 bytes per dynamic instruction.
     finish: Vec<u64>,
-    dog: WatchdogState,
     tripped: Option<TimeoutCause>,
-    mem_loads: u64,
-    mem_stores: u64,
-    /// Cache-hierarchy state (`None` under ideal memory).
-    cache: Option<CacheSim>,
-    /// Accesses reported by `on_mem` but not yet charged: the interpreter
+    /// Accesses reported by `on_mem` but not yet priced: the interpreter
     /// calls `on_mem` *before* the owning instruction's `on_instr_deps`, so
     /// the issue cycle — where the cache lookup happens — is not known yet.
+    /// Stays empty (and unallocated) under ideal memory.
     pending_mem: Vec<(Value, bool)>,
-    probe: P,
+    /// Watchdog, memory port and probe; the scheduler keeps the clock and
+    /// the samplers until the run drains.
+    core: Core<P>,
 }
 
 impl<P: Probe> OooTracer<P> {
-    /// Charges any pending memory accesses against the cache at issue cycle
+    /// Prices any pending memory accesses against the cache at issue cycle
     /// `at` and returns the instruction's execution latency: 1 for pure ALU
     /// work or ideal memory, otherwise the slowest access's response time.
     fn mem_latency(&mut self, at: u64) -> u64 {
         let mut lat = 1;
-        if self.pending_mem.is_empty() {
-            return lat;
-        }
-        match self.cache.as_mut() {
-            Some(c) => {
-                for (addr, write) in self.pending_mem.drain(..) {
-                    let acc = c.access(at, addr, write);
-                    if P::ENABLED && acc.is_miss() {
-                        self.probe.event(
-                            at,
-                            ProbeEvent::MemMiss { node: 0, addr, l2: acc.level == HitLevel::Mem },
-                        );
-                    }
-                    lat = lat.max(acc.complete - at);
-                }
-            }
-            None => self.pending_mem.clear(),
+        for (addr, write) in self.pending_mem.drain(..) {
+            lat = lat.max(self.core.port.lookup(&mut self.core.probe, at, 0, addr, write));
         }
         lat
     }
@@ -303,7 +288,7 @@ impl<P: Probe> Tracer for OooTracer<P> {
         let lat = self.mem_latency(at);
         let f = self.sched.finish_at(at, lat);
         if P::ENABLED {
-            self.probe.event(at, ProbeEvent::NodeFired { node: 0 });
+            self.core.probe.event(at, ProbeEvent::NodeFired { node: 0 });
         }
         self.finish.push(f);
     }
@@ -321,7 +306,7 @@ impl<P: Probe> Tracer for OooTracer<P> {
             // Stamped with the issue cycle. Issue times are not monotone
             // across the stream (the defining OoO property); sinks tolerate
             // out-of-order timestamps.
-            self.probe.event(at, ProbeEvent::NodeFired { node: 0 });
+            self.core.probe.event(at, ProbeEvent::NodeFired { node: 0 });
         }
         // `def` ids are issued consecutively starting at 1; binds into the
         // table may skip ids (branches define nothing consumed later) but
@@ -333,19 +318,11 @@ impl<P: Probe> Tracer for OooTracer<P> {
     }
 
     fn on_mem(&mut self, addr: Value, write: bool) {
-        if write {
-            self.mem_stores += 1;
-        } else {
-            self.mem_loads += 1;
-        }
         // `on_mem` precedes the access's `on_instr_deps`, so the issue cycle
         // is not known yet; stamp with the retirement horizon (timestamps
         // are out of order in this engine anyway, and sinks tolerate it).
-        if P::ENABLED {
-            self.probe
-                .event(self.sched.last_retire, ProbeEvent::MemAccess { node: 0, addr, write });
-        }
-        if self.cache.is_some() {
+        self.core.port.count(&mut self.core.probe, self.sched.last_retire, 0, addr, write);
+        if self.core.port.is_cached() {
             self.pending_mem.push((addr, write));
         }
     }
@@ -353,11 +330,8 @@ impl<P: Probe> Tracer for OooTracer<P> {
     fn poll_halt(&mut self) -> bool {
         // The scheduler's retirement horizon is the engine's notion of the
         // current cycle.
-        if let Some(cause) = self.dog.check(self.sched.last_retire) {
-            self.tripped = Some(cause);
-            return true;
-        }
-        false
+        self.tripped = self.core.dog.check(self.sched.last_retire);
+        self.tripped.is_some()
     }
 }
 
@@ -400,10 +374,7 @@ impl<'a, P: Probe> OooEngine<'a, P> {
         cfg: OooConfig,
         mut probe: P,
     ) -> Self {
-        if P::ENABLED {
-            probe.declare_block(0, "program");
-            probe.declare_node(0, "instr", 0);
-        }
+        declare_program(&mut probe);
         OooEngine { program, mem, cfg, probe }
     }
 
@@ -414,60 +385,28 @@ impl<'a, P: Probe> OooEngine<'a, P> {
     /// Returns [`SimError::Interp`] on interpreter faults and
     /// [`SimError::CycleLimit`] when the instruction budget runs out.
     pub fn run(mut self) -> Result<RunResult, SimError> {
+        let port = MemPort::free_when_ideal(&self.cfg.mem);
         let mut tracer = OooTracer {
             sched: WindowScheduler::new(self.cfg.window, self.cfg.issue_width),
             finish: vec![0],
-            dog: self.cfg.watchdog.arm(),
             tripped: None,
-            mem_loads: 0,
-            mem_stores: 0,
-            cache: self.cfg.mem.build(),
             pending_mem: Vec::new(),
-            probe: self.probe,
+            core: Core::new(port, &self.cfg.watchdog, None, self.probe),
         };
-        let out = match interp::run_traced(
-            self.program,
-            &mut self.mem,
-            &self.cfg.args,
-            self.cfg.max_instrs,
-            &mut tracer,
-        ) {
-            Ok(out) => out,
-            Err(interp::InterpError::Halted) => {
-                let cause = tracer.tripped.take().expect("halt implies a tripped watchdog");
-                let live = tracer.sched.rob.len() as u64;
-                let cycle = tracer.sched.last_retire;
-                let (loads, stores) = (tracer.mem_loads, tracer.mem_stores);
-                let mem_stats = tracer.cache.as_ref().map(CacheSim::stats);
-                let (_, trace, ipc) = tracer.sched.drain();
-                return Ok(RunResult::new(
-                    Outcome::TimedOut { cycle, live_tokens: live, cause },
-                    trace,
-                    ipc,
-                    self.mem,
-                    Vec::new(),
-                )
-                .with_mem_counts(loads, stores)
-                .with_mem_stats(mem_stats));
-            }
-            Err(interp::InterpError::OutOfFuel) => {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_instrs })
-            }
-            Err(other) => return Err(SimError::Interp(other.to_string())),
+        let limit = self.cfg.max_instrs;
+        let out =
+            interp::run_traced(self.program, &mut self.mem, &self.cfg.args, limit, &mut tracer);
+        let OooTracer { sched, tripped, mut core, .. } = tracer;
+        // A timeout is attributed to the retirement horizon with the
+        // reorder buffer's occupancy as its live state.
+        (core.cycle, core.live) = (sched.last_retire, sched.rob.len() as u64);
+        let cycles;
+        (cycles, core.trace, core.ipc) = sched.drain();
+        let end = match out {
+            Ok(out) => Ok((Outcome::Completed { cycles, dyn_instrs: out.dyn_instrs }, out.returns)),
+            Err(e) => Err(Halt::of_interp(e, tripped, limit)),
         };
-        let dyn_instrs = out.dyn_instrs;
-        let (loads, stores) = (tracer.mem_loads, tracer.mem_stores);
-        let mem_stats = tracer.cache.as_ref().map(CacheSim::stats);
-        let (cycles, trace, ipc) = tracer.sched.drain();
-        Ok(RunResult::new(
-            Outcome::Completed { cycles, dyn_instrs },
-            trace,
-            ipc,
-            self.mem,
-            out.returns,
-        )
-        .with_mem_counts(loads, stores)
-        .with_mem_stats(mem_stats))
+        core.finish(end, self.mem)
     }
 }
 

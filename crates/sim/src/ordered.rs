@@ -17,12 +17,13 @@ use std::collections::VecDeque;
 use tyr_dfg::{Dfg, InKind, NodeKind};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
-use tyr_stats::{IpcHistogram, Trace};
 
-use crate::cache::{CacheSim, HitLevel, MemConfig};
-use crate::fault::{FaultPlan, FaultState};
+use crate::cache::MemConfig;
+use crate::core::{declare_graph, Core, End};
+use crate::fault::FaultPlan;
+use crate::mem::MemPort;
 use crate::result::{Outcome, RunResult, SimError};
-use crate::watchdog::{Watchdog, WatchdogState};
+use crate::watchdog::Watchdog;
 
 /// Per-edge FIFO capacities: a uniform default plus targeted overrides.
 ///
@@ -135,24 +136,10 @@ pub struct OrderedEngine<'a, P: Probe = NoProbe> {
     /// `delayed[node] = (release_cycle, value)`.
     delayed: Vec<VecDeque<(u64, Value)>>,
     delayed_count: usize,
-    live: u64,
     fired_total: u64,
-    cycle: u64,
-    /// Idle cycles advanced over in bulk by the event-driven core.
-    skipped: u64,
-    /// Architectural loads / stores executed (counted even without a probe).
-    mem_loads: u64,
-    mem_stores: u64,
-    /// Cache-hierarchy state (`None` under ideal memory).
-    cache: Option<CacheSim>,
-    trace: Trace,
-    ipc: IpcHistogram,
     returns: Option<Vec<Value>>,
-    /// Live fault-injection state (`None` when no plan is configured).
-    faults: Option<FaultState>,
-    /// Armed watchdog, checked at the top of every cycle.
-    dog: WatchdogState,
-    probe: P,
+    /// Clock, samplers, watchdog, fault state, memory port and probe.
+    core: Core<P>,
     /// Current stall reason per node, for edge-triggered probe emission.
     /// Empty unless the probe is enabled.
     stall_state: Vec<Option<StallReason>>,
@@ -199,14 +186,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// Panics if a non-source node has no wired input (it would fire every
     /// cycle forever).
     pub fn with_probe(dfg: &'a Dfg, mem: MemoryImage, cfg: OrderedConfig, mut probe: P) -> Self {
-        if P::ENABLED {
-            for (i, b) in dfg.blocks.iter().enumerate() {
-                probe.declare_block(i as u32, &b.name);
-            }
-            for (i, n) in dfg.nodes.iter().enumerate() {
-                probe.declare_node(i as u32, &n.label, n.block.0);
-            }
-        }
+        declare_graph(&mut probe, dfg);
         for n in &dfg.nodes {
             assert!(
                 matches!(n.kind, NodeKind::Source)
@@ -237,9 +217,8 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             .enumerate()
             .map(|(ni, n)| (0..n.ins.len()).map(|p| capacity.of(ni as u32, p as u16)).collect())
             .collect();
-        let faults = cfg.faults.as_ref().map(FaultState::new);
-        let dog = cfg.watchdog.arm();
-        let cache = cfg.mem.build();
+        let mut core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
+        core.live = live;
         OrderedEngine {
             dfg,
             mem,
@@ -249,39 +228,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             source_fired: false,
             delayed: vec![VecDeque::new(); dfg.len()],
             delayed_count: 0,
-            live,
             fired_total: 0,
-            cycle: 0,
-            skipped: 0,
-            mem_loads: 0,
-            mem_stores: 0,
-            cache,
-            trace: Trace::new(),
-            ipc: IpcHistogram::new(),
             returns: None,
-            faults,
-            dog,
-            probe,
+            core,
             stall_state: if P::ENABLED { vec![None; dfg.len()] } else { Vec::new() },
-        }
-    }
-
-    /// Simulates the memory model for one access and returns its latency
-    /// in cycles (emitting a `MemMiss` probe event on L1 misses). Under
-    /// ideal memory this is the fixed configured latency.
-    fn mem_access(&mut self, node: u32, addr: Value, write: bool) -> u64 {
-        match self.cache.as_mut() {
-            Some(c) => {
-                let acc = c.access(self.cycle, addr, write);
-                if P::ENABLED && acc.is_miss() {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemMiss { node, addr, l2: acc.level == HitLevel::Mem },
-                    );
-                }
-                acc.complete - self.cycle
-            }
-            None => self.cfg.mem.ideal_latency(),
         }
     }
 
@@ -395,9 +345,13 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 // A Begin on an already-open (node, tag) key switches the
                 // reason in the sinks; no explicit End needed first.
                 Some(reason) => {
-                    self.probe.event(self.cycle, ProbeEvent::StallBegin { node, tag: 0, reason });
+                    self.core
+                        .probe
+                        .event(self.core.cycle, ProbeEvent::StallBegin { node, tag: 0, reason });
                 }
-                None => self.probe.event(self.cycle, ProbeEvent::StallEnd { node, tag: 0 }),
+                None => {
+                    self.core.probe.event(self.core.cycle, ProbeEvent::StallEnd { node, tag: 0 })
+                }
             }
             self.stall_state[idx] = now;
         }
@@ -432,10 +386,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         match self.dfg.nodes[idx].ins[port] {
             InKind::Imm(v) => v,
             InKind::Wire => {
-                self.live -= 1;
+                self.core.live -= 1;
                 if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::TokenConsumed { node: idx as u32, count: 1 },
                     );
                 }
@@ -451,74 +405,42 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         let dfg = self.dfg;
         for &t in &dfg.nodes[idx].outs[port] {
             let mut val = val;
-            if let Some(fs) = self.faults.as_mut() {
-                let tn = t.node.0;
-                if fs.strike(self.cycle, FaultKind::TokenDrop) {
-                    fs.record(
-                        self.cycle,
-                        tn,
-                        FaultKind::TokenDrop,
-                        format!(
-                            "dropped token (value {val}) bound for '{}' port {}",
-                            dfg.nodes[tn as usize].label, t.port
-                        ),
-                    );
-                    if P::ENABLED {
-                        self.probe.event(
-                            self.cycle,
-                            ProbeEvent::FaultInjected { node: tn, kind: FaultKind::TokenDrop },
-                        );
-                    }
+            if let Some(fs) = self.core.faults.as_mut() {
+                let (tn, label, port) = (t.node.0, &dfg.nodes[t.node.0 as usize].label, t.port);
+                let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
+                if fs.strike(cycle, FaultKind::TokenDrop) {
+                    let detail =
+                        format!("dropped token (value {val}) bound for '{label}' port {port}");
+                    fs.inject(probe, cycle, tn, FaultKind::TokenDrop, detail);
                     continue;
                 }
-                if fs.strike(self.cycle, FaultKind::TokenDup) {
-                    fs.record(
-                        self.cycle,
-                        tn,
-                        FaultKind::TokenDup,
-                        format!(
-                            "duplicated token (value {val}) bound for '{}' port {}",
-                            dfg.nodes[tn as usize].label, t.port
-                        ),
-                    );
+                if fs.strike(cycle, FaultKind::TokenDup) {
+                    let detail =
+                        format!("duplicated token (value {val}) bound for '{label}' port {port}");
+                    fs.inject(probe, cycle, tn, FaultKind::TokenDup, detail);
                     if P::ENABLED {
-                        self.probe.event(
-                            self.cycle,
-                            ProbeEvent::FaultInjected { node: tn, kind: FaultKind::TokenDup },
-                        );
-                        self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: tn });
+                        probe.event(cycle, ProbeEvent::TokenProduced { node: tn });
                     }
                     // The extra token skews the edge's FIFO alignment for
                     // the rest of the run: a wrong answer or a wedge.
-                    self.fifos[tn as usize][t.port as usize].push_back(val);
-                    self.live += 1;
+                    self.fifos[tn as usize][port as usize].push_back(val);
+                    self.core.live += 1;
                 }
-                if fs.strike(self.cycle, FaultKind::TokenCorrupt) {
-                    let mask = fs.mask();
+                if fs.strike(cycle, FaultKind::TokenCorrupt) {
                     let before = val;
-                    val ^= mask;
-                    fs.record(
-                        self.cycle,
-                        tn,
-                        FaultKind::TokenCorrupt,
-                        format!(
-                            "corrupted token for '{}' port {}: {before} -> {val}",
-                            dfg.nodes[tn as usize].label, t.port
-                        ),
-                    );
-                    if P::ENABLED {
-                        self.probe.event(
-                            self.cycle,
-                            ProbeEvent::FaultInjected { node: tn, kind: FaultKind::TokenCorrupt },
-                        );
-                    }
+                    val ^= fs.mask();
+                    let detail =
+                        format!("corrupted token for '{label}' port {port}: {before} -> {val}");
+                    fs.inject(probe, cycle, tn, FaultKind::TokenCorrupt, detail);
                 }
             }
             if P::ENABLED {
-                self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: t.node.0 });
+                self.core
+                    .probe
+                    .event(self.core.cycle, ProbeEvent::TokenProduced { node: t.node.0 });
             }
             self.fifos[t.node.0 as usize][t.port as usize].push_back(val);
-            self.live += 1;
+            self.core.live += 1;
         }
     }
 
@@ -545,66 +467,18 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     self.pop(idx, 1); // trigger
                 }
                 let mut v = self.mem.load(addr)?;
-                self.mem_loads += 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemAccess { node: idx as u32, addr, write: false },
-                    );
-                }
-                let mut extra = 0u64;
-                if let Some(fs) = self.faults.as_mut() {
-                    if fs.strike(self.cycle, FaultKind::MemFlip) {
-                        let mask = fs.mask();
-                        let before = v;
-                        v ^= mask;
-                        fs.record(
-                            self.cycle,
-                            idx as u32,
-                            FaultKind::MemFlip,
-                            format!(
-                                "flipped load response at '{}': {before} -> {v}",
-                                dfg.nodes[idx].label
-                            ),
-                        );
-                        if P::ENABLED {
-                            self.probe.event(
-                                self.cycle,
-                                ProbeEvent::FaultInjected {
-                                    node: idx as u32,
-                                    kind: FaultKind::MemFlip,
-                                },
-                            );
-                        }
-                    }
-                    if fs.strike(self.cycle, FaultKind::MemDelay) {
-                        extra = fs.extra_delay();
-                        fs.record(
-                            self.cycle,
-                            idx as u32,
-                            FaultKind::MemDelay,
-                            format!(
-                                "delayed memory response at '{}' by {extra} extra cycle(s)",
-                                dfg.nodes[idx].label
-                            ),
-                        );
-                        if P::ENABLED {
-                            self.probe.event(
-                                self.cycle,
-                                ProbeEvent::FaultInjected {
-                                    node: idx as u32,
-                                    kind: FaultKind::MemDelay,
-                                },
-                            );
-                        }
-                    }
-                }
-                let lat = self.mem_access(idx as u32, addr, false);
+                let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
+                self.core.port.count(probe, cycle, idx as u32, addr, false);
+                let extra = self.core.faults.as_mut().map_or(0, |fs| {
+                    let label = &dfg.nodes[idx].label;
+                    fs.perturb_mem_response(probe, cycle, idx as u32, label, true, &mut v)
+                });
+                let lat = self.core.port.lookup(probe, cycle, idx as u32, addr, false);
                 if lat <= 1 && extra == 0 {
                     self.push_outputs(idx, 0, v);
                 } else {
-                    self.live += 1; // in flight in the memory system
-                    let release = self.cycle + lat.max(1) + extra;
+                    self.core.live += 1; // in flight in the memory system
+                    let release = self.core.cycle + lat.max(1) + extra;
                     self.delayed[idx].push_back((release, v));
                     self.delayed_count += 1;
                 }
@@ -620,16 +494,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 } else {
                     self.mem.fetch_add(addr, v)?;
                 }
-                self.mem_stores += 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemAccess { node: idx as u32, addr, write: true },
-                    );
-                }
                 // Stores commit instantly (no completion token) but still
                 // occupy the cache and an MSHR.
-                let _ = self.mem_access(idx as u32, addr, true);
+                self.core.mem(idx as u32, addr, true);
             }
             NodeKind::Steer => {
                 let d = self.pop(idx, 0);
@@ -674,21 +541,13 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// limit. A stall with no fireable instruction before completion is
     /// reported as [`Outcome::Deadlock`].
     pub fn run(mut self) -> Result<RunResult, SimError> {
+        let end = self.run_loop();
+        self.core.finish(end, self.mem)
+    }
+
+    fn run_loop(&mut self) -> End {
         loop {
-            if let Some(cause) = self.dog.check(self.cycle) {
-                let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                return Ok(RunResult::new(
-                    Outcome::TimedOut { cycle: self.cycle, live_tokens: self.live, cause },
-                    self.trace,
-                    self.ipc,
-                    self.mem,
-                    Vec::new(),
-                )
-                .with_mem_counts(self.mem_loads, self.mem_stores)
-                .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                .with_faults(log)
-                .with_skipped(self.skipped));
-            }
+            self.core.check_watchdog()?;
             // Snapshot readiness against start-of-cycle state.
             let mut ready: Vec<usize> = Vec::new();
             for idx in 0..self.dfg.len() {
@@ -696,29 +555,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     break;
                 }
                 if self.is_ready(idx) {
-                    if let Some(fs) = self.faults.as_mut() {
-                        let fresh = fs.stuck_node().is_none();
-                        if fs.is_stuck(self.cycle, idx as u32) {
-                            if fresh {
-                                fs.record(
-                                    self.cycle,
-                                    idx as u32,
-                                    FaultKind::NodeStick,
-                                    format!(
-                                        "node '{}' wedged; it never fires again",
-                                        self.dfg.nodes[idx].label
-                                    ),
-                                );
-                                if P::ENABLED {
-                                    self.probe.event(
-                                        self.cycle,
-                                        ProbeEvent::FaultInjected {
-                                            node: idx as u32,
-                                            kind: FaultKind::NodeStick,
-                                        },
-                                    );
-                                }
-                            }
+                    if let Some(fs) = self.core.faults.as_mut() {
+                        let label = &self.dfg.nodes[idx].label;
+                        if fs.stick(&mut self.core.probe, self.core.cycle, idx as u32, label) {
                             continue;
                         }
                     }
@@ -729,7 +568,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             for idx in ready {
                 self.fire(idx)?;
                 if P::ENABLED {
-                    self.probe.event(self.cycle, ProbeEvent::NodeFired { node: idx as u32 });
+                    self.core
+                        .probe
+                        .event(self.core.cycle, ProbeEvent::NodeFired { node: idx as u32 });
                 }
             }
             // Release matured memory results — per load node, in issue
@@ -741,7 +582,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             if self.delayed_count > 0 {
                 for idx in 0..self.dfg.len() {
                     while let Some(&(r, _)) = self.delayed[idx].front() {
-                        if r > self.cycle + 1 {
+                        if r > self.core.cycle + 1 {
                             break;
                         }
                         let has_space = self.dfg.nodes[idx].outs[0].iter().all(|t| {
@@ -754,7 +595,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                         let (_, v) = self.delayed[idx].pop_front().expect("checked");
                         self.delayed_count -= 1;
                         released += 1;
-                        self.live -= 1; // re-counted by push_outputs
+                        self.core.live -= 1; // re-counted by push_outputs
                         self.push_outputs(idx, 0, v);
                     }
                 }
@@ -762,10 +603,8 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             if P::ENABLED {
                 self.scan_stalls();
             }
-            self.cycle += 1;
             self.fired_total += fired;
-            self.trace.record(self.live);
-            self.ipc.record(fired);
+            self.core.tick(fired);
 
             // Quiescent only if nothing fired AND the memory system neither
             // holds nor delivered anything this cycle (a release re-enables
@@ -793,51 +632,29 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 // (e.g. a kernel whose real output is memory) must not mask
                 // a back-pressure deadlock that wedged the loop's stores.
                 let wedged = (0..self.dfg.len()).any(|i| self.back_pressured(i));
-                let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                return if let Some(returns) = self.returns.take().filter(|_| !wedged) {
-                    Ok(RunResult::new(
-                        Outcome::Completed { cycles: self.cycle, dyn_instrs: self.fired_total },
-                        self.trace,
-                        self.ipc,
-                        self.mem,
+                if let Some(returns) = self.returns.take().filter(|_| !wedged) {
+                    let cycles = self.core.cycle;
+                    return Ok((
+                        Outcome::Completed { cycles, dyn_instrs: self.fired_total },
                         returns,
-                    )
-                    .with_mem_counts(self.mem_loads, self.mem_stores)
-                    .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                    .with_faults(log)
-                    .with_skipped(self.skipped))
-                } else {
-                    let witness = self.stall_witness();
-                    Ok(RunResult::new(
-                        Outcome::Deadlock {
-                            cycle: self.cycle,
-                            live_tokens: self.live,
-                            pending_allocates: witness,
-                        },
-                        self.trace,
-                        self.ipc,
-                        self.mem,
-                        Vec::new(),
-                    )
-                    .with_mem_counts(self.mem_loads, self.mem_stores)
-                    .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                    .with_faults(log)
-                    .with_skipped(self.skipped))
+                    ));
+                }
+                let wedge = Outcome::Deadlock {
+                    cycle: self.core.cycle,
+                    live_tokens: self.core.live,
+                    pending_allocates: self.stall_witness(),
                 };
+                return Ok((wedge, Vec::new()));
             }
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-            }
+            self.core.check_limit(self.cfg.max_cycles)?;
             // Event-driven fast path: a cycle that fired nothing and
             // released nothing leaves the FIFOs, readiness, and stall edges
             // exactly as they were — the machine is frozen until the
-            // earliest in-flight memory release matures, so the clock can
-            // advance straight to the cycle before that release. A
+            // earliest in-flight memory release matures, so the clock may
+            // jump there (see `Core::idle_jump` for the clamps). A
             // matured-but-back-pressured head keeps the minimum release at
             // or below the current cycle, so blocked deliveries (which
-            // ticked runs retry every cycle) are never jumped over. The
-            // target is clamped so the cycle limit and the watchdog's cycle
-            // budget trip at exactly their ticked cycles.
+            // ticked runs retry every cycle) are never jumped over.
             if self.cfg.event_driven && fired == 0 && released == 0 && self.delayed_count > 0 {
                 let next = self
                     .delayed
@@ -845,42 +662,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     .filter_map(|q| q.front().map(|&(r, _)| r))
                     .min()
                     .expect("delayed_count > 0");
-                // Never leap past an outstanding MSHR fill (it frees an MSHR
-                // entry, releasing back-pressure on future misses).
-                let fill =
-                    self.cache.as_mut().and_then(|c| c.next_fill(self.cycle)).unwrap_or(u64::MAX);
-                let target = (next - 1)
-                    .min(fill)
-                    .min(self.cfg.max_cycles)
-                    .min(self.dog.budget().unwrap_or(u64::MAX));
-                if target > self.cycle {
-                    let n = target - self.cycle;
-                    self.trace.record_n(self.live, n);
-                    self.ipc.record_n(0, n);
-                    self.skipped += n;
-                    self.cycle = target;
-                    if self.cycle >= self.cfg.max_cycles {
-                        return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-                    }
-                    // A jump can leap over every slow-check boundary in the
-                    // gap; poll the host limits once per resume. The cycle
-                    // budget stays with the loop-top check so its attributed
-                    // cycle is deterministic.
-                    if let Some(cause) = self.dog.poll_host() {
-                        let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                        return Ok(RunResult::new(
-                            Outcome::TimedOut { cycle: self.cycle, live_tokens: self.live, cause },
-                            self.trace,
-                            self.ipc,
-                            self.mem,
-                            Vec::new(),
-                        )
-                        .with_mem_counts(self.mem_loads, self.mem_stores)
-                        .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                        .with_faults(log)
-                        .with_skipped(self.skipped));
-                    }
-                }
+                self.core.idle_jump(next, u64::MAX, self.cfg.max_cycles)?;
             }
         }
     }

@@ -199,25 +199,6 @@ impl RunResult {
         }
     }
 
-    /// Attaches the count of bulk-skipped idle cycles (builder-style).
-    pub fn with_skipped(mut self, skipped: u64) -> Self {
-        self.skipped_cycles = skipped;
-        self
-    }
-
-    /// Attaches the architectural load/store counts (builder-style).
-    pub fn with_mem_counts(mut self, loads: u64, stores: u64) -> Self {
-        self.mem_loads = loads;
-        self.mem_stores = stores;
-        self
-    }
-
-    /// Attaches cache-hierarchy counters (builder-style; cached runs only).
-    pub fn with_mem_stats(mut self, stats: Option<MemStats>) -> Self {
-        self.mem_stats = stats;
-        self
-    }
-
     /// L1 hits (0 under ideal memory, where every access "hits").
     pub fn mem_hits(&self) -> u64 {
         self.mem_stats.map_or(0, |s| s.l1.hits)
@@ -232,18 +213,6 @@ impl RunResult {
     /// Accesses delayed by a full MSHR table (0 under ideal memory).
     pub fn mshr_stalls(&self) -> u64 {
         self.mem_stats.map_or(0, |s| s.mshr_stalls)
-    }
-
-    /// Attaches per-block token-store peaks (builder-style).
-    pub fn with_store_peaks(mut self, peaks: Vec<(String, u64)>) -> Self {
-        self.store_peaks = peaks;
-        self
-    }
-
-    /// Attaches the fault-injection log (builder-style).
-    pub fn with_faults(mut self, faults: Vec<FaultRecord>) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Attaches a per-node profile from the probe layer (builder-style).

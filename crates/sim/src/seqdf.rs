@@ -20,30 +20,12 @@
 
 use tyr_ir::{MemoryImage, Program, Region, Stmt, Value, Var};
 use tyr_stats::probe::{NoProbe, Probe, ProbeEvent};
-use tyr_stats::{IpcHistogram, Trace};
 
-use crate::cache::{CacheSim, HitLevel, MemConfig};
-use crate::result::{Outcome, RunResult, SimError, TimeoutCause};
-use crate::watchdog::{Watchdog, WatchdogState};
-
-/// Why the executor unwound early: a simulated fault, or a watchdog trip
-/// (which is an attributed *result*, not an error).
-enum Halt {
-    Fault(SimError),
-    Timeout(TimeoutCause),
-}
-
-impl From<SimError> for Halt {
-    fn from(e: SimError) -> Self {
-        Halt::Fault(e)
-    }
-}
-
-impl From<tyr_ir::MemError> for Halt {
-    fn from(e: tyr_ir::MemError) -> Self {
-        Halt::Fault(SimError::Mem(e))
-    }
-}
+use crate::cache::MemConfig;
+use crate::core::{declare_program, Core, Halt};
+use crate::mem::MemPort;
+use crate::result::{Outcome, RunResult, SimError};
+use crate::watchdog::Watchdog;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -97,26 +79,17 @@ struct Frame {
 
 struct Exec<'a, P: Probe> {
     program: &'a Program,
-    mem: &'a mut MemoryImage,
-    probe: &'a mut P,
+    mem: MemoryImage,
     width: u64,
     max_cycles: u64,
-    dog: WatchdogState,
     /// Instructions per dependence level in the current instance
     /// (index = level - 1).
     hist: Vec<u64>,
-    live: u64,
-    cycle: u64,
     fired: u64,
-    /// Architectural loads / stores executed (counted even without a probe).
-    mem_loads: u64,
-    mem_stores: u64,
-    /// Cache-hierarchy state (`None` under ideal memory).
-    cache: Option<CacheSim>,
     /// Accumulated memory-stall cycles, appended to the clock at run end.
     stalls: u64,
-    trace: Trace,
-    ipc: IpcHistogram,
+    /// Clock, samplers, watchdog, memory port and probe.
+    core: Core<P>,
 }
 
 impl<'a> SeqDataflowEngine<'a> {
@@ -158,10 +131,7 @@ impl<'a, P: Probe> SeqDataflowEngine<'a, P> {
         cfg: SeqDataflowConfig,
         mut probe: P,
     ) -> Self {
-        if P::ENABLED {
-            probe.declare_block(0, "program");
-            probe.declare_node(0, "instr", 0);
-        }
+        declare_program(&mut probe);
         SeqDataflowEngine { program, mem, cfg, probe }
     }
 
@@ -171,68 +141,26 @@ impl<'a, P: Probe> SeqDataflowEngine<'a, P> {
     ///
     /// Returns a [`SimError`] on simulated-program faults or when the cycle
     /// limit is exceeded.
-    pub fn run(mut self) -> Result<RunResult, SimError> {
+    pub fn run(self) -> Result<RunResult, SimError> {
+        let port = MemPort::free_when_ideal(&self.cfg.mem);
         let mut exec = Exec {
             program: self.program,
-            mem: &mut self.mem,
-            probe: &mut self.probe,
+            mem: self.mem,
             width: self.cfg.issue_width.max(1) as u64,
             max_cycles: self.cfg.max_cycles,
-            dog: self.cfg.watchdog.arm(),
             hist: Vec::new(),
-            live: 0,
-            cycle: 0,
             fired: 0,
-            mem_loads: 0,
-            mem_stores: 0,
-            cache: self.cfg.mem.build(),
             stalls: 0,
-            trace: Trace::new(),
-            ipc: IpcHistogram::new(),
+            core: Core::new(port, &self.cfg.watchdog, None, self.probe),
         };
-        let outcome = exec.call(self.program.entry, &self.cfg.args).and_then(|returns| {
-            exec_flush(&mut exec)?;
-            Ok(returns)
-        });
-        if outcome.is_ok() && exec.stalls > 0 {
+        let end = exec.call(self.program.entry, &self.cfg.args).map(|returns| {
             // Coarse serial-penalty model: the excess latency of every cache
             // access lands as idle clock after the last wave drains.
-            exec.cycle += exec.stalls;
-            exec.trace.record_n(exec.live, exec.stalls);
-            exec.ipc.record_n(0, exec.stalls);
-        }
-        let (cycle, live, fired) = (exec.cycle, exec.live, exec.fired);
-        let (loads, stores) = (exec.mem_loads, exec.mem_stores);
-        let mem_stats = exec.cache.as_ref().map(CacheSim::stats);
-        let (trace, ipc) = (exec.trace, exec.ipc);
-        match outcome {
-            Ok(returns) => Ok(RunResult::new(
-                Outcome::Completed { cycles: cycle, dyn_instrs: fired },
-                trace,
-                ipc,
-                self.mem,
-                returns,
-            )
-            .with_mem_counts(loads, stores)
-            .with_mem_stats(mem_stats)),
-            Err(Halt::Timeout(cause)) => Ok(RunResult::new(
-                Outcome::TimedOut { cycle, live_tokens: live, cause },
-                trace,
-                ipc,
-                self.mem,
-                Vec::new(),
-            )
-            .with_mem_counts(loads, stores)
-            .with_mem_stats(mem_stats)),
-            Err(Halt::Fault(e)) => Err(e),
-        }
+            exec.core.idle(exec.stalls);
+            (Outcome::Completed { cycles: exec.core.cycle, dyn_instrs: exec.fired }, returns)
+        });
+        exec.core.finish(end, exec.mem)
     }
-}
-
-/// Free-function wrapper so `run` can flush inside an `and_then` closure
-/// that already holds the executor mutably.
-fn exec_flush<P: Probe>(exec: &mut Exec<'_, P>) -> Result<(), Halt> {
-    exec.flush()
 }
 
 impl<'a, P: Probe> Exec<'a, P> {
@@ -243,42 +171,26 @@ impl<'a, P: Probe> Exec<'a, P> {
             let mut remaining = self.hist[l];
             while remaining > 0 {
                 let fire = remaining.min(self.width);
-                self.cycle += 1;
                 self.fired += fire;
+                self.core.tick(fire);
                 if P::ENABLED {
                     for _ in 0..fire {
-                        self.probe.event(self.cycle, ProbeEvent::NodeFired { node: 0 });
+                        self.core.probe.event(self.core.cycle, ProbeEvent::NodeFired { node: 0 });
                     }
                 }
-                self.trace.record(self.live);
-                self.ipc.record(fire);
                 remaining -= fire;
-                if let Some(cause) = self.dog.check(self.cycle) {
-                    return Err(Halt::Timeout(cause));
-                }
-                if self.cycle >= self.max_cycles {
-                    return Err(Halt::Fault(SimError::CycleLimit { limit: self.max_cycles }));
-                }
+                self.core.check_watchdog()?;
+                self.core.check_limit(self.max_cycles)?;
             }
         }
         self.hist.clear();
         Ok(())
     }
 
-    /// Runs one access through the cache model (if any): counts hit level,
-    /// emits a [`ProbeEvent::MemMiss`] on misses, and accumulates the excess
-    /// latency beyond the instruction's own cycle as stall debt.
-    fn mem_access(&mut self, addr: Value, write: bool) {
-        if let Some(c) = self.cache.as_mut() {
-            let acc = c.access(self.cycle, addr, write);
-            if P::ENABLED && acc.is_miss() {
-                self.probe.event(
-                    self.cycle,
-                    ProbeEvent::MemMiss { node: 0, addr, l2: acc.level == HitLevel::Mem },
-                );
-            }
-            self.stalls += (acc.complete - self.cycle).saturating_sub(1);
-        }
+    /// Runs one access through the memory port, accumulating its latency
+    /// beyond the instruction's own cycle as stall debt.
+    fn access(&mut self, addr: Value, write: bool) {
+        self.stalls += self.core.mem(0, addr, write).saturating_sub(1);
     }
 
     fn record(&mut self, level: u32) {
@@ -292,9 +204,9 @@ impl<'a, P: Probe> Exec<'a, P> {
     fn bind(&mut self, frame: &mut Frame, v: Var, value: Value, level: u32) {
         let slot = &mut frame.env[v.0 as usize];
         if slot.is_none() {
-            self.live += 1;
+            self.core.live += 1;
             if P::ENABLED {
-                self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: 0 });
+                self.core.probe.event(self.core.cycle, ProbeEvent::TokenProduced { node: 0 });
             }
         }
         *slot = Some(value);
@@ -303,9 +215,11 @@ impl<'a, P: Probe> Exec<'a, P> {
 
     fn unbind(&mut self, frame: &mut Frame, v: Var) {
         if frame.env[v.0 as usize].take().is_some() {
-            self.live -= 1;
+            self.core.live -= 1;
             if P::ENABLED {
-                self.probe.event(self.cycle, ProbeEvent::TokenConsumed { node: 0, count: 1 });
+                self.core
+                    .probe
+                    .event(self.core.cycle, ProbeEvent::TokenConsumed { node: 0, count: 1 });
             }
         }
         frame.level[v.0 as usize] = 0;
@@ -336,7 +250,7 @@ impl<'a, P: Probe> Exec<'a, P> {
             .iter()
             .map(|&r| Self::operand(&frame, r).map(|(v, _)| v))
             .collect::<Result<_, _>>()?;
-        self.live -= frame.env.iter().filter(|s| s.is_some()).count() as u64;
+        self.core.live -= frame.env.iter().filter(|s| s.is_some()).count() as u64;
         Ok(rets)
     }
 
@@ -360,14 +274,7 @@ impl<'a, P: Probe> Exec<'a, P> {
             Stmt::Load { dst, addr } => {
                 let (a, la) = Self::operand(frame, *addr)?;
                 let v = self.mem.load(a)?;
-                self.mem_loads += 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemAccess { node: 0, addr: a, write: false },
-                    );
-                }
-                self.mem_access(a, false);
+                self.access(a, false);
                 let level = la + 1;
                 self.record(level);
                 self.bind(frame, *dst, v, level);
@@ -376,24 +283,14 @@ impl<'a, P: Probe> Exec<'a, P> {
                 let (a, la) = Self::operand(frame, *addr)?;
                 let (v, lv) = Self::operand(frame, *value)?;
                 self.mem.store(a, v)?;
-                self.mem_stores += 1;
-                if P::ENABLED {
-                    self.probe
-                        .event(self.cycle, ProbeEvent::MemAccess { node: 0, addr: a, write: true });
-                }
-                self.mem_access(a, true);
+                self.access(a, true);
                 self.record(la.max(lv) + 1);
             }
             Stmt::StoreAdd { addr, value } => {
                 let (a, la) = Self::operand(frame, *addr)?;
                 let (v, lv) = Self::operand(frame, *value)?;
                 self.mem.fetch_add(a, v)?;
-                self.mem_stores += 1;
-                if P::ENABLED {
-                    self.probe
-                        .event(self.cycle, ProbeEvent::MemAccess { node: 0, addr: a, write: true });
-                }
-                self.mem_access(a, true);
+                self.access(a, true);
                 self.record(la.max(lv) + 1);
             }
             Stmt::Select { dst, cond, on_true, on_false } => {

@@ -12,11 +12,12 @@
 use tyr_ir::interp::{self, Tracer};
 use tyr_ir::{MemoryImage, Program, Value};
 use tyr_stats::probe::{NoProbe, Probe, ProbeEvent};
-use tyr_stats::{IpcHistogram, Trace};
 
-use crate::cache::{CacheSim, HitLevel, MemConfig};
+use crate::cache::MemConfig;
+use crate::core::{declare_program, Core, Halt};
+use crate::mem::MemPort;
 use crate::result::{Outcome, RunResult, SimError, TimeoutCause};
-use crate::watchdog::{Watchdog, WatchdogState};
+use crate::watchdog::Watchdog;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -58,77 +59,42 @@ pub struct SeqVnEngine<'a, P: Probe = NoProbe> {
 }
 
 struct VnTracer<P: Probe> {
-    trace: Trace,
-    ipc: IpcHistogram,
-    probe: P,
-    cycle: u64,
-    live: u64,
-    mem_loads: u64,
-    mem_stores: u64,
-    /// Cache-hierarchy state (`None` under ideal memory, which completes
-    /// within the instruction's own cycle).
-    cache: Option<CacheSim>,
+    /// Clock, samplers, watchdog, memory port and probe.
+    core: Core<P>,
     /// Memory-stall cycles owed by the access of the instruction about to
     /// retire (applied by `on_instr` right after its one compute cycle).
     stall_pending: u64,
     /// Total memory-stall cycles added to the clock.
     stalls: u64,
-    dog: WatchdogState,
     tripped: Option<TimeoutCause>,
 }
 
 impl<P: Probe> Tracer for VnTracer<P> {
     fn on_instr(&mut self, live: u64) {
-        self.cycle += 1;
-        self.live = live;
+        self.core.live = live;
+        self.core.tick(1);
         if P::ENABLED {
-            self.probe.event(self.cycle, ProbeEvent::NodeFired { node: 0 });
+            self.core.probe.event(self.core.cycle, ProbeEvent::NodeFired { node: 0 });
         }
-        self.trace.record(live);
-        self.ipc.record(1);
-        if self.stall_pending > 0 {
-            // The serial machine blocks on its access: the miss latency is
-            // idle clock with the live state unchanged and nothing retiring.
-            let n = self.stall_pending;
-            self.stall_pending = 0;
-            self.stalls += n;
-            self.cycle += n;
-            self.trace.record_n(live, n);
-            self.ipc.record_n(0, n);
-        }
+        // The serial machine blocks on its access: the miss latency is idle
+        // clock with the live state unchanged and nothing retiring.
+        let n = std::mem::take(&mut self.stall_pending);
+        self.stalls += n;
+        self.core.idle(n);
     }
 
     fn on_mem(&mut self, addr: Value, write: bool) {
-        if write {
-            self.mem_stores += 1;
-        } else {
-            self.mem_loads += 1;
-        }
         // `on_mem` precedes the instruction's retire, so stamp the access
-        // with the cycle that instruction will occupy.
-        if P::ENABLED {
-            self.probe.event(self.cycle + 1, ProbeEvent::MemAccess { node: 0, addr, write });
-        }
-        if let Some(c) = self.cache.as_mut() {
-            let at = self.cycle + 1;
-            let acc = c.access(at, addr, write);
-            if P::ENABLED && acc.is_miss() {
-                self.probe.event(
-                    at,
-                    ProbeEvent::MemMiss { node: 0, addr, l2: acc.level == HitLevel::Mem },
-                );
-            }
-            // One cycle is the instruction's own; the rest is stall.
-            self.stall_pending += (acc.complete - at).saturating_sub(1);
-        }
+        // with the cycle that instruction will occupy. One cycle of the
+        // latency is the instruction's own; the rest is stall.
+        let at = self.core.cycle + 1;
+        let lat = self.core.port.access(&mut self.core.probe, at, 0, addr, write);
+        self.stall_pending += lat.saturating_sub(1);
     }
 
     fn poll_halt(&mut self) -> bool {
-        if let Some(cause) = self.dog.check(self.cycle) {
-            self.tripped = Some(cause);
-            return true;
-        }
-        false
+        self.tripped = self.core.dog.check(self.core.cycle);
+        self.tripped.is_some()
     }
 }
 
@@ -169,10 +135,7 @@ impl<'a, P: Probe> SeqVnEngine<'a, P> {
         cfg: SeqVnConfig,
         mut probe: P,
     ) -> Self {
-        if P::ENABLED {
-            probe.declare_block(0, "program");
-            probe.declare_node(0, "instr", 0);
-        }
+        declare_program(&mut probe);
         SeqVnEngine { program, mem, cfg, probe }
     }
 
@@ -183,57 +146,28 @@ impl<'a, P: Probe> SeqVnEngine<'a, P> {
     /// Returns [`SimError::Interp`] on interpreter faults and
     /// [`SimError::CycleLimit`] if the instruction budget runs out.
     pub fn run(mut self) -> Result<RunResult, SimError> {
+        let port = MemPort::free_when_ideal(&self.cfg.mem);
         let mut tracer = VnTracer {
-            trace: Trace::new(),
-            ipc: IpcHistogram::new(),
-            probe: self.probe,
-            cycle: 0,
-            live: 0,
-            mem_loads: 0,
-            mem_stores: 0,
-            cache: self.cfg.mem.build(),
+            core: Core::new(port, &self.cfg.watchdog, None, self.probe),
             stall_pending: 0,
             stalls: 0,
-            dog: self.cfg.watchdog.arm(),
             tripped: None,
         };
-        let out = match interp::run_traced(
+        let limit = self.cfg.max_cycles;
+        let end = match interp::run_traced(
             self.program,
             &mut self.mem,
             &self.cfg.args,
-            self.cfg.max_cycles,
+            limit,
             &mut tracer,
         ) {
-            Ok(out) => out,
-            Err(interp::InterpError::Halted) => {
-                let cause = tracer.tripped.take().expect("halt implies a tripped watchdog");
-                return Ok(RunResult::new(
-                    Outcome::TimedOut { cycle: tracer.cycle, live_tokens: tracer.live, cause },
-                    tracer.trace,
-                    tracer.ipc,
-                    self.mem,
-                    Vec::new(),
-                )
-                .with_mem_counts(tracer.mem_loads, tracer.mem_stores)
-                .with_mem_stats(tracer.cache.as_ref().map(CacheSim::stats)));
+            Ok(out) => {
+                let cycles = out.dyn_instrs + tracer.stalls;
+                Ok((Outcome::Completed { cycles, dyn_instrs: out.dyn_instrs }, out.returns))
             }
-            Err(interp::InterpError::OutOfFuel) => {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles })
-            }
-            Err(other) => return Err(SimError::Interp(other.to_string())),
+            Err(e) => Err(Halt::of_interp(e, tracer.tripped, limit)),
         };
-        Ok(RunResult::new(
-            Outcome::Completed {
-                cycles: out.dyn_instrs + tracer.stalls,
-                dyn_instrs: out.dyn_instrs,
-            },
-            tracer.trace,
-            tracer.ipc,
-            self.mem,
-            out.returns,
-        )
-        .with_mem_counts(tracer.mem_loads, tracer.mem_stores)
-        .with_mem_stats(tracer.cache.as_ref().map(CacheSim::stats)))
+        tracer.core.finish(end, self.mem)
     }
 }
 

@@ -27,15 +27,16 @@ use std::collections::VecDeque;
 use tyr_dfg::{AllocKind, BlockId, Dfg, InKind, NodeId, NodeKind, PortRef};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
-use tyr_stats::{IpcHistogram, Trace};
 
-use crate::cache::{CacheSim, HitLevel, MemConfig};
+use crate::cache::MemConfig;
+use crate::core::{declare_graph, Core, End};
 use crate::event::EventQueue;
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::FaultPlan;
 use crate::fxhash::FxHashMap;
+use crate::mem::MemPort;
 use crate::result::{Outcome, RunResult, SimError};
 use crate::slab::ValueSlab;
-use crate::watchdog::{Watchdog, WatchdogState};
+use crate::watchdog::Watchdog;
 
 /// Maximum wired inputs per node (token-presence bits share a `u64` with
 /// three engine flags).
@@ -271,32 +272,18 @@ pub struct TaggedEngine<'a, P: Probe = NoProbe> {
     delayed: EventQueue<(PortRef, u64, Value)>,
     /// Scratch for the per-cycle release drain (capacity reused).
     due: Vec<(PortRef, u64, Value)>,
-    live: u64,
     /// Live tokens per concurrent block (token-store occupancy).
     block_live: Vec<u64>,
     /// Peak occupancy per block.
     block_peak: Vec<u64>,
     fired_total: u64,
-    cycle: u64,
-    /// Idle cycles advanced over in bulk by the event-driven core.
-    skipped: u64,
-    /// Architectural loads / stores executed (counted even without a probe).
-    mem_loads: u64,
-    mem_stores: u64,
-    /// Cache-hierarchy state (`None` under ideal memory).
-    cache: Option<CacheSim>,
-    trace: Trace,
-    ipc: IpcHistogram,
     returns: Option<Vec<Value>>,
-    /// Live fault-injection state (`None` when no plan is configured).
-    faults: Option<FaultState>,
     /// Set once a tag-exhaust fault strikes: the victim local space index
     /// (any value for the global pool). Freed tags returning to the victim
     /// are swallowed so the starvation is permanent.
     tag_sink: Option<usize>,
-    /// Armed watchdog, checked at the top of every cycle.
-    dog: WatchdogState,
-    probe: P,
+    /// Clock, samplers, watchdog, fault state, memory port and probe.
+    core: Core<P>,
 }
 
 impl<'a> TaggedEngine<'a> {
@@ -340,14 +327,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     ///
     /// Panics if a node has more than 48 wired inputs.
     pub fn with_probe(dfg: &'a Dfg, mem: MemoryImage, cfg: TaggedConfig, mut probe: P) -> Self {
-        if P::ENABLED {
-            for (i, b) in dfg.blocks.iter().enumerate() {
-                probe.declare_block(i as u32, &b.name);
-            }
-            for (i, n) in dfg.nodes.iter().enumerate() {
-                probe.declare_node(i as u32, &n.label, n.block.0);
-            }
-        }
+        declare_graph(&mut probe, dfg);
         let mut required = Vec::with_capacity(dfg.len());
         for n in &dfg.nodes {
             let mut mask = 0u64;
@@ -452,9 +432,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         } else {
             EventQueue::new(cfg.mem.ideal_latency())
         };
-        let faults = cfg.faults.as_ref().map(FaultState::new);
-        let dog = cfg.watchdog.arm();
-        let cache = cfg.mem.build();
+        let core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
         TaggedEngine {
             dfg,
             mem,
@@ -466,22 +444,12 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             emissions: Vec::new(),
             delayed,
             due: Vec::new(),
-            live: 0,
             block_live: vec![0; dfg.blocks.len()],
             block_peak: vec![0; dfg.blocks.len()],
             fired_total: 0,
-            cycle: 0,
-            skipped: 0,
-            mem_loads: 0,
-            mem_stores: 0,
-            cache,
-            trace: Trace::new(),
-            ipc: IpcHistogram::new(),
             returns: None,
-            faults,
             tag_sink: None,
-            dog,
-            probe,
+            core,
         }
     }
 
@@ -493,93 +461,33 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     /// the cycle limit, or internal invariant violations. Deadlock is *not*
     /// an error: it is reported via [`Outcome::Deadlock`].
     pub fn run(mut self) -> Result<RunResult, SimError> {
+        let end = self.run_loop();
+        let peaks = self.store_peaks();
+        let mut r = self.core.finish(end, self.mem)?;
+        r.store_peaks = peaks;
+        Ok(r)
+    }
+
+    fn run_loop(&mut self) -> End {
         // Seed: the source fires in the first cycle with the root tag.
         self.ready.push_back((self.dfg.source.0, 0));
 
         loop {
-            if let Some(cause) = self.dog.check(self.cycle) {
-                let peaks = self.store_peaks();
-                let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                return Ok(RunResult::new(
-                    Outcome::TimedOut { cycle: self.cycle, live_tokens: self.live, cause },
-                    self.trace,
-                    self.ipc,
-                    self.mem,
-                    Vec::new(),
-                )
-                .with_store_peaks(peaks)
-                .with_mem_counts(self.mem_loads, self.mem_stores)
-                .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                .with_faults(log)
-                .with_skipped(self.skipped));
-            }
-            if self.faults.is_some() {
+            self.core.check_watchdog()?;
+            if self.core.faults.is_some() {
                 self.fault_exhaust_tags();
             }
             // Event-driven fast path: with nothing ready, no instruction can
             // fire and no machine state can change until the next delayed
-            // memory release, so the clock may advance to the cycle before
-            // that release (`drain_due` during cycle `r - 1` delivers
-            // release `r`) in one step. The jump is clamped so every
-            // deadline that inspects skipped cycles still sees its exact
-            // trip cycle: the cycle limit (checked at the bottom of each
-            // ticked cycle), the watchdog's cycle budget (checked at each
-            // loop top), and the tag-exhaust fault window (whose in-window
-            // cycles each draw from the fault PRNG).
+            // memory release, so the clock may jump there (see
+            // `Core::idle_jump` for the clamps). The engine's own clamp is
+            // the tag-exhaust fault window, whose in-window cycles each draw
+            // from the fault PRNG. After a jump the loop restarts so the
+            // loop-top checks see the new cycle.
             if self.cfg.event_driven && self.ready.is_empty() {
-                if let Some(next) = self.delayed.next_release(self.cycle) {
-                    // Never leap past an outstanding MSHR fill: the fill
-                    // frees an MSHR entry (releasing back-pressure), so the
-                    // clock must visit its cycle.
-                    let fill = self
-                        .cache
-                        .as_mut()
-                        .and_then(|c| c.next_fill(self.cycle))
-                        .unwrap_or(u64::MAX);
-                    let target = (next - 1)
-                        .min(fill)
-                        .min(self.cfg.max_cycles)
-                        .min(self.dog.budget().unwrap_or(u64::MAX))
-                        .min(self.exhaust_jump_bound());
-                    if target > self.cycle {
-                        let n = target - self.cycle;
-                        // Each skipped cycle samples exactly what the ticked
-                        // loop would have: unchanged live state, IPC 0.
-                        self.trace.record_n(self.live, n);
-                        self.ipc.record_n(0, n);
-                        self.skipped += n;
-                        self.cycle = target;
-                        // Ordering mirrors the ticked loop: the cycle limit
-                        // fires at the bottom of cycle `max_cycles - 1`,
-                        // before any loop-top watchdog check could run.
-                        if self.cycle >= self.cfg.max_cycles {
-                            return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-                        }
-                        // A jump can leap over every slow-check boundary in
-                        // the gap, so poll the host limits once per resume.
-                        // The cycle budget is left to the loop-top check so
-                        // its attributed cycle stays deterministic.
-                        if let Some(cause) = self.dog.poll_host() {
-                            let peaks = self.store_peaks();
-                            let log =
-                                self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                            return Ok(RunResult::new(
-                                Outcome::TimedOut {
-                                    cycle: self.cycle,
-                                    live_tokens: self.live,
-                                    cause,
-                                },
-                                self.trace,
-                                self.ipc,
-                                self.mem,
-                                Vec::new(),
-                            )
-                            .with_store_peaks(peaks)
-                            .with_mem_counts(self.mem_loads, self.mem_stores)
-                            .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                            .with_faults(log)
-                            .with_skipped(self.skipped));
-                        }
+                if let Some(next) = self.delayed.next_release(self.core.cycle) {
+                    let bound = self.exhaust_jump_bound();
+                    if self.core.idle_jump(next, bound, self.cfg.max_cycles)? {
                         continue;
                     }
                 }
@@ -596,29 +504,9 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             {
                 let Some((n, t)) = self.ready.pop_front() else { break };
                 considered += 1;
-                if let Some(fs) = self.faults.as_mut() {
-                    let fresh = fs.stuck_node().is_none();
-                    if fs.is_stuck(self.cycle, n) {
-                        if fresh {
-                            fs.record(
-                                self.cycle,
-                                n,
-                                FaultKind::NodeStick,
-                                format!(
-                                    "node '{}' wedged; it never fires again",
-                                    self.dfg.nodes[n as usize].label
-                                ),
-                            );
-                            if P::ENABLED {
-                                self.probe.event(
-                                    self.cycle,
-                                    ProbeEvent::FaultInjected {
-                                        node: n,
-                                        kind: FaultKind::NodeStick,
-                                    },
-                                );
-                            }
-                        }
+                if let Some(fs) = self.core.faults.as_mut() {
+                    let label = &self.dfg.nodes[n as usize].label;
+                    if fs.stick(&mut self.core.probe, self.core.cycle, n, label) {
                         // The stuck activation keeps its queue slot but never
                         // fires; the run spins until a watchdog or the cycle
                         // limit ends it.
@@ -651,7 +539,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 }
                 self.fire(NodeId(n), t)?;
                 if P::ENABLED {
-                    self.probe.event(self.cycle, ProbeEvent::NodeFired { node: n });
+                    self.core.probe.event(self.core.cycle, ProbeEvent::NodeFired { node: n });
                 }
                 if self.cfg.free_token_sync && is_sync {
                     sync_fired += 1;
@@ -662,10 +550,10 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
 
             // Release memory results whose latency has elapsed.
             let mut due = std::mem::take(&mut self.due);
-            self.delayed.drain_due(self.cycle, &mut due);
+            self.delayed.drain_due(self.core.cycle, &mut due);
             for (target, tag, val) in due.drain(..) {
                 // Re-counted (live and block) by emit_to.
-                self.live -= 1;
+                self.core.live -= 1;
                 self.block_live[self.dfg.nodes[target.node.0 as usize].block.0 as usize] -= 1;
                 self.emit_to(target, tag, val);
             }
@@ -678,7 +566,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             while i < self.emissions.len() {
                 let (target, tag, mut val) = self.emissions[i];
                 i += 1;
-                if self.faults.is_some() && !self.fault_perturb_emission(target, tag, &mut val) {
+                if self.core.faults.is_some() && !self.fault_perturb_emission(target, tag, &mut val)
+                {
                     continue; // token dropped
                 }
                 self.deliver(target, tag, val)?;
@@ -688,57 +577,32 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             for &(n, t) in deferred.iter().rev() {
                 self.ready.push_front((n, t));
             }
-            self.cycle += 1;
             // Sync firings are real dynamic instructions even when they do
             // not consume issue slots; IPC counts compute slots only.
             self.fired_total += fired + sync_fired;
-            self.trace.record(self.live);
-            self.ipc.record(fired);
+            self.core.tick(fired);
 
-            if self.live == 0 && self.ready.is_empty() && self.delayed.is_empty() {
+            if self.core.live == 0 && self.ready.is_empty() && self.delayed.is_empty() {
                 if let Some(returns) = self.returns.take() {
-                    let peaks = self.store_peaks();
-                    let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                    return Ok(RunResult::new(
-                        Outcome::Completed { cycles: self.cycle, dyn_instrs: self.fired_total },
-                        self.trace,
-                        self.ipc,
-                        self.mem,
+                    let cycles = self.core.cycle;
+                    return Ok((
+                        Outcome::Completed { cycles, dyn_instrs: self.fired_total },
                         returns,
-                    )
-                    .with_store_peaks(peaks)
-                    .with_mem_counts(self.mem_loads, self.mem_stores)
-                    .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                    .with_faults(log)
-                    .with_skipped(self.skipped));
+                    ));
                 }
             }
             if fired + sync_fired == 0 && self.ready.is_empty() && self.delayed.is_empty() {
                 if self.returns.is_some() {
-                    return Err(SimError::TokenLeak { live_tokens: self.live });
+                    return Err(SimError::TokenLeak { live_tokens: self.core.live }.into());
                 }
-                let peaks = self.store_peaks();
-                let log = self.faults.take().map(FaultState::into_log).unwrap_or_default();
-                return Ok(RunResult::new(
-                    Outcome::Deadlock {
-                        cycle: self.cycle,
-                        live_tokens: self.live,
-                        pending_allocates: self.pending_report(),
-                    },
-                    self.trace,
-                    self.ipc,
-                    self.mem,
-                    Vec::new(),
-                )
-                .with_store_peaks(peaks)
-                .with_mem_counts(self.mem_loads, self.mem_stores)
-                .with_mem_stats(self.cache.as_ref().map(CacheSim::stats))
-                .with_faults(log)
-                .with_skipped(self.skipped));
+                let wedge = Outcome::Deadlock {
+                    cycle: self.core.cycle,
+                    live_tokens: self.core.live,
+                    pending_allocates: self.pending_report(),
+                };
+                return Ok((wedge, Vec::new()));
             }
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-            }
+            self.core.check_limit(self.cfg.max_cycles)?;
         }
     }
 
@@ -749,13 +613,13 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     /// are unbounded; before the window the clock may advance to its start;
     /// inside it every cycle is a potential draw and the engine single-steps.
     fn exhaust_jump_bound(&self) -> u64 {
-        match self.faults.as_ref() {
+        match self.core.faults.as_ref() {
             Some(fs) if self.tag_sink.is_none() && fs.arms(FaultKind::TagExhaust) => {
                 let (lo, hi) = fs.window();
-                if self.cycle >= hi {
+                if self.core.cycle >= hi {
                     u64::MAX
                 } else {
-                    lo.max(self.cycle + 1)
+                    lo.max(self.core.cycle + 1)
                 }
             }
             _ => u64::MAX,
@@ -788,8 +652,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             Backend::Unbounded { .. } => None, // unbounded spaces cannot exhaust
         };
         let Some(space) = victim else { return };
-        let fs = self.faults.as_mut().expect("caller checked");
-        if !fs.strike(self.cycle, FaultKind::TagExhaust) {
+        let fs = self.core.faults.as_mut().expect("caller checked");
+        if !fs.strike(self.core.cycle, FaultKind::TagExhaust) {
             return;
         }
         let (stolen, name) = match &mut self.backend {
@@ -806,98 +670,51 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             Backend::Unbounded { .. } => unreachable!("filtered above"),
         };
         self.tag_sink = Some(space);
-        let fs = self.faults.as_mut().expect("caller checked");
-        fs.record(
-            self.cycle,
-            0,
-            FaultKind::TagExhaust,
-            format!("stole {stolen} free tag(s) from {name}; future frees are swallowed"),
-        );
-        if P::ENABLED {
-            self.probe.event(
-                self.cycle,
-                ProbeEvent::FaultInjected { node: 0, kind: FaultKind::TagExhaust },
-            );
-        }
+        let fs = self.core.faults.as_mut().expect("caller checked");
+        let detail = format!("stole {stolen} free tag(s) from {name}; future frees are swallowed");
+        fs.inject(&mut self.core.probe, self.core.cycle, 0, FaultKind::TagExhaust, detail);
     }
 
     /// Applies token-level faults (drop / duplicate / corrupt) to one
     /// emission. Returns `false` when the token was dropped — the caller
     /// must not deliver it.
     fn fault_perturb_emission(&mut self, target: PortRef, tag: u64, val: &mut Value) -> bool {
-        let node = target.node.0;
-        let fs = self.faults.as_mut().expect("caller checked");
-        if fs.strike(self.cycle, FaultKind::TokenDrop) {
-            fs.record(
-                self.cycle,
-                node,
-                FaultKind::TokenDrop,
-                format!(
-                    "dropped token (value {val}) bound for '{}' port {}",
-                    self.dfg.nodes[node as usize].label, target.port
-                ),
-            );
-            if P::ENABLED {
-                self.probe.event(
-                    self.cycle,
-                    ProbeEvent::FaultInjected { node, kind: FaultKind::TokenDrop },
-                );
-            }
+        let (node, port) = (target.node.0, target.port);
+        let n = &self.dfg.nodes[node as usize];
+        let (label, block) = (&n.label, n.block.0 as usize);
+        let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
+        let fs = self.core.faults.as_mut().expect("caller checked");
+        if fs.strike(cycle, FaultKind::TokenDrop) {
+            let detail = format!("dropped token (value {val}) bound for '{label}' port {port}");
+            fs.inject(probe, cycle, node, FaultKind::TokenDrop, detail);
             // The token was counted live by `emit_to`; un-count it.
-            self.live -= 1;
-            self.block_live[self.dfg.nodes[node as usize].block.0 as usize] -= 1;
+            self.core.live -= 1;
+            self.block_live[block] -= 1;
             return false;
         }
-        if fs.strike(self.cycle, FaultKind::TokenDup) {
-            fs.record(
-                self.cycle,
-                node,
-                FaultKind::TokenDup,
-                format!(
-                    "duplicated token (value {val}) bound for '{}' port {} under tag {tag}",
-                    self.dfg.nodes[node as usize].label, target.port
-                ),
+        if fs.strike(cycle, FaultKind::TokenDup) {
+            let detail = format!(
+                "duplicated token (value {val}) bound for '{label}' port {port} under tag {tag}"
             );
-            if P::ENABLED {
-                self.probe.event(
-                    self.cycle,
-                    ProbeEvent::FaultInjected { node, kind: FaultKind::TokenDup },
-                );
-            }
+            fs.inject(probe, cycle, node, FaultKind::TokenDup, detail);
             // The copy is appended to this cycle's emission list; delivering
             // it onto the now-occupied port violates the cardinal
             // tagged-dataflow invariant and trips `TagOverflow`.
             self.emissions.push((target, tag, *val));
-            self.live += 1;
-            let b = self.dfg.nodes[node as usize].block.0 as usize;
-            self.block_live[b] += 1;
-            self.block_peak[b] = self.block_peak[b].max(self.block_live[b]);
+            self.core.live += 1;
+            self.block_live[block] += 1;
+            self.block_peak[block] = self.block_peak[block].max(self.block_live[block]);
         }
         // Corrupting a dynamic continuation (`ChangeTagDyn` port 1 encodes a
         // port reference) would send the token to an arbitrary graph index —
         // a harness crash, not a simulated fault — so that one port is
         // exempt.
-        let dyn_target = target.port == 1
-            && matches!(self.dfg.nodes[node as usize].kind, NodeKind::ChangeTagDyn);
-        if !dyn_target && fs.strike(self.cycle, FaultKind::TokenCorrupt) {
-            let mask = fs.mask();
+        let dyn_target = port == 1 && matches!(n.kind, NodeKind::ChangeTagDyn);
+        if !dyn_target && fs.strike(cycle, FaultKind::TokenCorrupt) {
             let before = *val;
-            *val ^= mask;
-            fs.record(
-                self.cycle,
-                node,
-                FaultKind::TokenCorrupt,
-                format!(
-                    "corrupted token for '{}' port {}: {before} -> {}",
-                    self.dfg.nodes[node as usize].label, target.port, *val
-                ),
-            );
-            if P::ENABLED {
-                self.probe.event(
-                    self.cycle,
-                    ProbeEvent::FaultInjected { node, kind: FaultKind::TokenCorrupt },
-                );
-            }
+            *val ^= fs.mask();
+            let detail = format!("corrupted token for '{label}' port {port}: {before} -> {val}");
+            fs.inject(probe, cycle, node, FaultKind::TokenCorrupt, detail);
         }
         true
     }
@@ -938,15 +755,10 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         if self.alloc_eligible(*space, *kind, ready_present) {
             true
         } else {
-            self.store[n as usize].or_flags(t, IN_PENDING);
-            match &mut self.backend {
-                Backend::Local { pending, .. } => pending[space.0 as usize].push_back((n, t)),
-                Backend::Global { pending, .. } => pending.push_back((n, t)),
-                Backend::Unbounded { .. } => unreachable!("unbounded is always eligible"),
-            }
+            self.park(*space, n, t);
             if P::ENABLED {
-                self.probe.event(
-                    self.cycle,
+                self.core.probe.event(
+                    self.core.cycle,
                     ProbeEvent::StallBegin { node: n, tag: t, reason: StallReason::TagStarved },
                 );
             }
@@ -954,7 +766,18 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
     }
 
-    fn alloc_eligible(&self, space: tyr_dfg::BlockId, kind: AllocKind, ready: bool) -> bool {
+    /// Parks activation `(n, t)` on `space`'s pending list until a tag
+    /// returns to it.
+    fn park(&mut self, space: BlockId, n: u32, t: u64) {
+        self.store[n as usize].or_flags(t, IN_PENDING);
+        match &mut self.backend {
+            Backend::Local { pending, .. } => pending[space.0 as usize].push_back((n, t)),
+            Backend::Global { pending, .. } => pending.push_back((n, t)),
+            Backend::Unbounded { .. } => unreachable!("unbounded is always eligible"),
+        }
+    }
+
+    fn alloc_eligible(&self, space: BlockId, kind: AllocKind, ready: bool) -> bool {
         match &self.backend {
             Backend::Local { free, .. } => {
                 let f = free[space.0 as usize].len();
@@ -973,7 +796,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
     }
 
-    fn pop_tag(&mut self, space: tyr_dfg::BlockId) -> u64 {
+    fn pop_tag(&mut self, space: BlockId) -> u64 {
         match &mut self.backend {
             Backend::Local { free, .. } => {
                 free[space.0 as usize].pop().expect("eligibility checked")
@@ -987,7 +810,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
     }
 
-    fn push_tag(&mut self, space: tyr_dfg::BlockId, tag: u64) {
+    fn push_tag(&mut self, space: BlockId, tag: u64) {
         if let Some(sink) = self.tag_sink {
             let swallowed = match &self.backend {
                 Backend::Local { .. } => sink == space.0 as usize,
@@ -1020,45 +843,26 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 continue;
             }
             self.store[n as usize].clear(t, IN_PENDING);
-            if let NodeKind::NewTag = &self.dfg.nodes[n as usize].kind {
+            let node = &self.dfg.nodes[n as usize];
+            let (space, kind, ready) = match &node.kind {
                 // A parked pseudo-allocate (bounded policy over an
                 // unbounded-elaboration graph).
-                let space = self.dfg.nodes[n as usize].block;
-                if self.alloc_eligible(space, AllocKind::Call, true) {
-                    self.store[n as usize].or_flags(t, IN_QUEUE);
-                    self.ready.push_back((n, t));
-                    if P::ENABLED {
-                        self.probe.event(self.cycle, ProbeEvent::StallEnd { node: n, tag: t });
-                    }
-                } else {
-                    self.store[n as usize].or_flags(t, IN_PENDING);
-                    match &mut self.backend {
-                        Backend::Local { pending, .. } => {
-                            pending[space.0 as usize].push_back((n, t))
-                        }
-                        Backend::Global { pending, .. } => pending.push_back((n, t)),
-                        Backend::Unbounded { .. } => unreachable!(),
-                    }
+                NodeKind::NewTag => (node.block, AllocKind::Call, true),
+                NodeKind::Allocate { space, kind } => {
+                    (*space, *kind, self.store[n as usize].present(t) & 0b10 != 0)
                 }
-                continue;
-            }
-            let NodeKind::Allocate { space, kind } = &self.dfg.nodes[n as usize].kind else {
-                unreachable!("only allocates park")
+                _ => unreachable!("only allocates park"),
             };
-            let ready = self.store[n as usize].present(t) & 0b10 != 0;
-            if self.alloc_eligible(*space, *kind, ready) {
+            if self.alloc_eligible(space, kind, ready) {
                 self.store[n as usize].or_flags(t, IN_QUEUE);
                 self.ready.push_back((n, t));
                 if P::ENABLED {
-                    self.probe.event(self.cycle, ProbeEvent::StallEnd { node: n, tag: t });
+                    self.core
+                        .probe
+                        .event(self.core.cycle, ProbeEvent::StallEnd { node: n, tag: t });
                 }
             } else {
-                self.store[n as usize].or_flags(t, IN_PENDING);
-                match &mut self.backend {
-                    Backend::Local { pending, .. } => pending[space.0 as usize].push_back((n, t)),
-                    Backend::Global { pending, .. } => pending.push_back((n, t)),
-                    Backend::Unbounded { .. } => unreachable!(),
-                }
+                self.park(space, n, t);
             }
         }
     }
@@ -1075,10 +879,12 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
 
     fn emit_to(&mut self, target: PortRef, tag: u64, val: Value) {
         if P::ENABLED {
-            self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: target.node.0 });
+            self.core
+                .probe
+                .event(self.core.cycle, ProbeEvent::TokenProduced { node: target.node.0 });
         }
         self.emissions.push((target, tag, val));
-        self.live += 1;
+        self.core.live += 1;
         let b = self.dfg.nodes[target.node.0 as usize].block.0 as usize;
         self.block_live[b] += 1;
         if self.block_live[b] > self.block_peak[b] {
@@ -1086,81 +892,25 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
     }
 
-    /// Simulates the memory model for one access and returns its latency
-    /// in cycles (emitting a `MemMiss` probe event on L1 misses). Under
-    /// ideal memory this is the fixed configured latency.
-    fn mem_access(&mut self, node: u32, addr: Value, write: bool) -> u64 {
-        match self.cache.as_mut() {
-            Some(c) => {
-                let acc = c.access(self.cycle, addr, write);
-                if P::ENABLED && acc.is_miss() {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemMiss { node, addr, l2: acc.level == HitLevel::Mem },
-                    );
-                }
-                acc.complete - self.cycle
-            }
-            None => self.cfg.mem.ideal_latency(),
-        }
-    }
-
     /// Emits a memory result on `port` after `latency` cycles (plus any
     /// injected extra delay).
     fn emit_mem(&mut self, node: NodeId, port: u16, tag: u64, mut val: Value, latency: u64) {
         let mut extra = 0u64;
-        if let Some(fs) = self.faults.as_mut() {
-            // Flips apply to load responses only: a store's completion token
-            // carries no data, so flipping it would perturb nothing.
-            let is_load = matches!(self.dfg.nodes[node.0 as usize].kind, NodeKind::Load);
-            if is_load && fs.strike(self.cycle, FaultKind::MemFlip) {
-                let mask = fs.mask();
-                let before = val;
-                val ^= mask;
-                fs.record(
-                    self.cycle,
-                    node.0,
-                    FaultKind::MemFlip,
-                    format!(
-                        "flipped load response at '{}': {before} -> {val}",
-                        self.dfg.nodes[node.0 as usize].label
-                    ),
-                );
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::FaultInjected { node: node.0, kind: FaultKind::MemFlip },
-                    );
-                }
-            }
-            if fs.strike(self.cycle, FaultKind::MemDelay) {
-                extra = fs.extra_delay();
-                fs.record(
-                    self.cycle,
-                    node.0,
-                    FaultKind::MemDelay,
-                    format!(
-                        "delayed memory response at '{}' by {extra} extra cycle(s)",
-                        self.dfg.nodes[node.0 as usize].label
-                    ),
-                );
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::FaultInjected { node: node.0, kind: FaultKind::MemDelay },
-                    );
-                }
-            }
+        if let Some(fs) = self.core.faults.as_mut() {
+            let n = &self.dfg.nodes[node.0 as usize];
+            let is_load = matches!(n.kind, NodeKind::Load);
+            let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
+            extra = fs.perturb_mem_response(probe, cycle, node.0, &n.label, is_load, &mut val);
         }
         if latency <= 1 && extra == 0 {
             self.emit(node, port, tag, val);
             return;
         }
-        let release = self.cycle + latency.max(1) + extra;
+        let release = self.core.cycle + latency.max(1) + extra;
         let dfg = self.dfg;
         for &t in &dfg.nodes[node.0 as usize].outs[port as usize] {
             self.delayed.push(release, (t, tag, val));
-            self.live += 1;
+            self.core.live += 1;
             let b = dfg.nodes[t.node.0 as usize].block.0 as usize;
             self.block_live[b] += 1;
             if self.block_live[b] > self.block_peak[b] {
@@ -1190,11 +940,13 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         let eaten = present & mask;
         self.store[node.0 as usize].clear(tag, eaten);
         let n = eaten.count_ones() as u64;
-        self.live -= n;
+        self.core.live -= n;
         self.block_live[self.dfg.nodes[node.0 as usize].block.0 as usize] -= n;
         if P::ENABLED && n > 0 {
-            self.probe
-                .event(self.cycle, ProbeEvent::TokenConsumed { node: node.0, count: n as u32 });
+            self.core.probe.event(
+                self.core.cycle,
+                ProbeEvent::TokenConsumed { node: node.0, count: n as u32 },
+            );
         }
     }
 
@@ -1241,14 +993,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             NodeKind::Load => {
                 let addr = self.input(node, tag, 0);
                 let v = self.mem.load(addr)?;
-                self.mem_loads += 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemAccess { node: node.0, addr, write: false },
-                    );
-                }
-                let lat = self.mem_access(node.0, addr, false);
+                let lat = self.core.mem(node.0, addr, false);
                 self.consume(node, tag, self.required[idx]);
                 self.emit_mem(node, 0, tag, v, lat);
             }
@@ -1260,15 +1005,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 } else {
                     self.mem.fetch_add(addr, v)?;
                 }
-                self.mem_stores += 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::MemAccess { node: node.0, addr, write: true },
-                    );
-                }
                 // Output-less stores still occupy the cache and an MSHR.
-                let lat = self.mem_access(node.0, addr, true);
+                let lat = self.core.mem(node.0, addr, true);
                 self.consume(node, tag, self.required[idx]);
                 if !n.outs.is_empty() {
                     self.emit_mem(node, 0, tag, 0, lat);
@@ -1300,10 +1038,14 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 let space = *space;
                 let t_new = self.pop_tag(space);
                 if P::ENABLED {
-                    self.probe
-                        .event(self.cycle, ProbeEvent::TagAllocated { space: space.0, tag: t_new });
-                    self.probe
-                        .event(self.cycle, ProbeEvent::BlockEnter { block: space.0, tag: t_new });
+                    self.core.probe.event(
+                        self.core.cycle,
+                        ProbeEvent::TagAllocated { space: space.0, tag: t_new },
+                    );
+                    self.core.probe.event(
+                        self.core.cycle,
+                        ProbeEvent::BlockEnter { block: space.0, tag: t_new },
+                    );
                 }
                 let ready_present = self.store[idx].present(tag) & 0b10 != 0;
                 // Consume the request (port 0) and, if present, the ready
@@ -1334,17 +1076,10 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                         let space = n.block;
                         if !self.alloc_eligible(space, AllocKind::Call, true) {
                             // Park as a pseudo-allocate request.
-                            self.store[idx].or_flags(tag, IN_PENDING);
-                            match &mut self.backend {
-                                Backend::Local { pending, .. } => {
-                                    pending[space.0 as usize].push_back((node.0, tag))
-                                }
-                                Backend::Global { pending, .. } => pending.push_back((node.0, tag)),
-                                Backend::Unbounded { .. } => unreachable!(),
-                            }
+                            self.park(space, node.0, tag);
                             if P::ENABLED {
-                                self.probe.event(
-                                    self.cycle,
+                                self.core.probe.event(
+                                    self.core.cycle,
                                     ProbeEvent::StallBegin {
                                         node: node.0,
                                         tag,
@@ -1358,12 +1093,14 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     }
                 };
                 if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::TagAllocated { space: n.block.0, tag: t_new },
                     );
-                    self.probe
-                        .event(self.cycle, ProbeEvent::BlockEnter { block: n.block.0, tag: t_new });
+                    self.core.probe.event(
+                        self.core.cycle,
+                        ProbeEvent::BlockEnter { block: n.block.0, tag: t_new },
+                    );
                 }
                 self.consume(node, tag, self.required[idx]);
                 self.emit(node, 0, tag, t_new as Value);
@@ -1373,8 +1110,12 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 self.consume(node, tag, self.required[idx]);
                 self.push_tag(space, tag);
                 if P::ENABLED {
-                    self.probe.event(self.cycle, ProbeEvent::TagFreed { space: space.0, tag });
-                    self.probe.event(self.cycle, ProbeEvent::BlockExit { block: space.0, tag });
+                    self.core
+                        .probe
+                        .event(self.core.cycle, ProbeEvent::TagFreed { space: space.0, tag });
+                    self.core
+                        .probe
+                        .event(self.core.cycle, ProbeEvent::BlockExit { block: space.0, tag });
                 }
                 if self.cfg.check_token_leaks {
                     self.scan_freed_tag(space, tag)?;
@@ -1385,8 +1126,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 let v = self.input(node, tag, 1);
                 self.consume(node, tag, self.required[idx]);
                 if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::TagChanged { node: node.0, from: tag, to: t_new },
                     );
                 }
@@ -1401,8 +1142,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 let v = self.input(node, tag, 2);
                 self.consume(node, tag, self.required[idx]);
                 if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::TagChanged { node: node.0, from: tag, to: t_new },
                     );
                 }
@@ -1458,11 +1199,11 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     // Ready arrived after the pop: consumed without effect
                     // except the barrier control token (Sec. IV-A).
                     self.store[idx].clear(tag, bit | AL_POPPED);
-                    self.live -= 1;
+                    self.core.live -= 1;
                     self.block_live[self.dfg.nodes[idx].block.0 as usize] -= 1;
                     if P::ENABLED {
-                        self.probe.event(
-                            self.cycle,
+                        self.core.probe.event(
+                            self.core.cycle,
                             ProbeEvent::TokenConsumed { node: target.node.0, count: 1 },
                         );
                     }
@@ -1480,8 +1221,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                         self.store[idx].or_flags(tag, IN_QUEUE);
                         self.ready.push_back((target.node.0, tag));
                         if P::ENABLED {
-                            self.probe.event(
-                                self.cycle,
+                            self.core.probe.event(
+                                self.core.cycle,
                                 ProbeEvent::StallEnd { node: target.node.0, tag },
                             );
                         }
@@ -1498,28 +1239,18 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                         self.store[idx].or_flags(tag, IN_QUEUE);
                         self.ready.push_back((target.node.0, tag));
                         if P::ENABLED && before & 0b11 != 0 {
-                            self.probe.event(
-                                self.cycle,
+                            self.core.probe.event(
+                                self.core.cycle,
                                 ProbeEvent::StallEnd { node: target.node.0, tag },
                             );
                         }
                     } else {
-                        let space = *space;
-                        self.store[idx].or_flags(tag, IN_PENDING);
-                        match &mut self.backend {
-                            Backend::Local { pending, .. } => {
-                                pending[space.0 as usize].push_back((target.node.0, tag))
-                            }
-                            Backend::Global { pending, .. } => {
-                                pending.push_back((target.node.0, tag))
-                            }
-                            Backend::Unbounded { .. } => unreachable!(),
-                        }
+                        self.park(*space, target.node.0, tag);
                         if P::ENABLED {
                             // Switches any open partial-match interval to
                             // tag starvation — the Fig. 11 attribution.
-                            self.probe.event(
-                                self.cycle,
+                            self.core.probe.event(
+                                self.core.cycle,
                                 ProbeEvent::StallBegin {
                                     node: target.node.0,
                                     tag,
@@ -1531,8 +1262,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 } else if P::ENABLED && before & 0b11 == 0 {
                     // First token of the allocate's input set (the `ready`
                     // arrived before the request): a partial-match wait.
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::StallBegin {
                             node: target.node.0,
                             tag,
@@ -1555,14 +1286,16 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     if P::ENABLED && before & req != 0 {
                         // Earlier tokens of this set were waiting; the set
                         // just completed.
-                        self.probe
-                            .event(self.cycle, ProbeEvent::StallEnd { node: target.node.0, tag });
+                        self.core.probe.event(
+                            self.core.cycle,
+                            ProbeEvent::StallEnd { node: target.node.0, tag },
+                        );
                     }
                 } else if P::ENABLED && before & req == 0 && present & IN_QUEUE == 0 {
                     // First token of a multi-input set: the activation now
                     // waits for its partners.
-                    self.probe.event(
-                        self.cycle,
+                    self.core.probe.event(
+                        self.core.cycle,
                         ProbeEvent::StallBegin {
                             node: target.node.0,
                             tag,
