@@ -83,12 +83,15 @@ done
 # 2-thread sweep pool and validate the emitted JSON against the
 # tyr-bench-suite/v1 schema, then validate the committed baseline too —
 # both `bench` (which self-checks before writing) and `bench-check` exit
-# nonzero on a malformed or incomplete file (DESIGN.md §7.5).
+# nonzero on a malformed or incomplete file (DESIGN.md §7.5). The committed
+# baseline is also re-run (`--sim-exact`): every cell's simulated `cycles`
+# and `dyn_instrs` must equal the recorded value, so an engine change that
+# claims to move only host time is held to it.
 bench_dir=$(mktemp -d)
 target/release/repro bench --quick --jobs 2 --out "$bench_dir/BENCH_quick.json"
 target/release/repro bench-check "$bench_dir/BENCH_quick.json"
 rm -rf "$bench_dir"
-target/release/repro bench-check BENCH_suite.json
+target/release/repro bench-check --sim-exact BENCH_suite.json
 # Robustness gate (DESIGN.md §9): 25-seed differential + chaos smoke sweep.
 # Exits nonzero on any cross-engine disagreement (shrunk witness printed),
 # any never-injected or never-detected fault class, or a mem-delay that

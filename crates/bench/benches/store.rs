@@ -1,7 +1,10 @@
 //! Micro-bench pairs for the tagged engine's hot-path data structures:
 //! SipHash vs FxHash on the sparse token store's churn pattern, and
 //! per-token `Vec` allocation vs the pooled [`ValueSlab`] on token
-//! turnover. Run with `cargo bench -p tyr-bench --bench store`; each pair
+//! turnover; and the store's access pattern itself — one row resolution per
+//! operation (the engine before DESIGN.md §7.9) vs one fused
+//! [`TokenStore::put`] per delivery and [`TokenStore::take`] per firing.
+//! Run with `cargo bench -p tyr-bench --bench store`; each pair
 //! isolates one substitution the engine made, so the win (or a regression)
 //! is measurable in-repo without profiling a whole simulation.
 
@@ -11,6 +14,7 @@ use tyr_bench::micro::Harness;
 use tyr_ir::Value;
 use tyr_sim::fxhash::FxHashMap;
 use tyr_sim::slab::ValueSlab;
+use tyr_sim::store::{TokenStore, IN_QUEUE};
 
 /// Ports per token set (a typical wired-input count).
 const PORTS: usize = 3;
@@ -46,8 +50,175 @@ fn churn<S: std::hash::BuildHasher + Default>() -> Value {
     sum
 }
 
+/// The token store as the engine drove it before §7.9: every operation
+/// (`present`, `set`, `or_flags`, `clear`, `val`) resolves the row again —
+/// re-matching the enum and, for the sparse store, re-probing the map —
+/// through a call the engine's loop did not inline.
+enum PerOpStore {
+    Dense { n_ports: usize, present: Vec<u64>, vals: Vec<Value> },
+    Sparse { map: FxHashMap<u64, (u64, u32)>, slab: ValueSlab },
+}
+
+impl PerOpStore {
+    #[inline(never)]
+    fn present(&self, tag: u64) -> u64 {
+        match self {
+            PerOpStore::Dense { present, .. } => present.get(tag as usize).copied().unwrap_or(0),
+            PerOpStore::Sparse { map, .. } => map.get(&tag).map_or(0, |s| s.0),
+        }
+    }
+
+    #[inline(never)]
+    fn set(&mut self, tag: u64, port: u16, val: Value) -> u64 {
+        match self {
+            PerOpStore::Dense { n_ports, present, vals } => {
+                let t = tag as usize;
+                present[t] |= 1 << port;
+                vals[t * *n_ports + port as usize] = val;
+                present[t]
+            }
+            PerOpStore::Sparse { map, slab } => {
+                let slot = map.entry(tag).or_insert_with(|| (0, slab.acquire()));
+                slot.0 |= 1 << port;
+                slab.set(slot.1, port, val);
+                slot.0
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn or_flags(&mut self, tag: u64, flags: u64) {
+        match self {
+            PerOpStore::Dense { present, .. } => present[tag as usize] |= flags,
+            PerOpStore::Sparse { map, slab } => {
+                map.entry(tag).or_insert_with(|| (0, slab.acquire())).0 |= flags;
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn clear(&mut self, tag: u64, bits: u64) {
+        match self {
+            PerOpStore::Dense { present, .. } => present[tag as usize] &= !bits,
+            PerOpStore::Sparse { map, slab } => {
+                if let Some(slot) = map.get_mut(&tag) {
+                    slot.0 &= !bits;
+                    if slot.0 == 0 {
+                        let row = slot.1;
+                        map.remove(&tag);
+                        slab.release(row);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn val(&self, tag: u64, port: u16) -> Value {
+        match self {
+            PerOpStore::Dense { n_ports, vals, .. } => {
+                vals[tag as usize * *n_ports + port as usize]
+            }
+            PerOpStore::Sparse { map, slab } => slab.get(map[&tag].1, port),
+        }
+    }
+}
+
+/// Both inputs of a two-input instruction.
+const BINARY: u64 = 0b11;
+
+/// `TURNOVER` activations of a two-input instruction with `LIVE` of them in
+/// flight: two deliveries complete the set, the firing reads and consumes
+/// it. `deliver(tag, port, val)` and `fire(tag) -> a + b` are the engine's
+/// two store-facing steps; `tag_of` maps an activation to its tag (dense
+/// rows recycle, sparse tags only grow).
+fn activations(
+    tag_of: impl Fn(u64) -> u64,
+    mut deliver: impl FnMut(u64, u16, Value),
+    mut fire: impl FnMut(u64) -> Value,
+) -> Value {
+    let mut sum: Value = 0;
+    for i in 0..TURNOVER + LIVE {
+        if i >= LIVE {
+            sum = sum.wrapping_add(fire(tag_of(i - LIVE)));
+        }
+        if i < TURNOVER {
+            deliver(tag_of(i), 0, i as Value);
+            deliver(tag_of(i), 1, 1);
+        }
+    }
+    sum
+}
+
+/// The pre-§7.9 sequences: `present` → `set` → `or_flags` per delivery,
+/// `clear(IN_QUEUE)` → `val` × 2 → `present` → `clear` per firing.
+fn row_access_per_op(store: &std::cell::RefCell<PerOpStore>, tag_of: impl Fn(u64) -> u64) -> Value {
+    activations(
+        tag_of,
+        |tag, port, val| {
+            let mut s = store.borrow_mut();
+            assert_eq!(s.present(tag) & 1 << port, 0, "second token on an occupied port");
+            let present = s.set(tag, port, val);
+            if present & BINARY == BINARY && present & IN_QUEUE == 0 {
+                s.or_flags(tag, IN_QUEUE);
+            }
+        },
+        |tag| {
+            let mut s = store.borrow_mut();
+            s.clear(tag, IN_QUEUE);
+            let (a, b) = (s.val(tag, 0), s.val(tag, 1));
+            let eaten = s.present(tag) & BINARY;
+            s.clear(tag, eaten);
+            a.wrapping_add(b)
+        },
+    )
+}
+
+/// The retained design: one `put` per delivery, one `take` per firing.
+fn row_access_fused(store: &std::cell::RefCell<TokenStore>, tag_of: impl Fn(u64) -> u64) -> Value {
+    activations(
+        tag_of,
+        |tag, port, val| {
+            store.borrow_mut().put(tag, port, val, BINARY).expect("one token per port");
+        },
+        |tag| {
+            let mut v = [0; 3];
+            store.borrow_mut().take(tag, BINARY, &mut v);
+            v[0].wrapping_add(v[1])
+        },
+    )
+}
+
 fn main() {
     let mut b = Harness::from_args("store");
+
+    // Row-access fusion (DESIGN.md §7.9), on both store shapes. The stores
+    // end every iteration empty, so they are built once.
+    let rows = LIVE as usize;
+    let dense = std::cell::RefCell::new(PerOpStore::Dense {
+        n_ports: 2,
+        present: vec![0; rows],
+        vals: vec![0; rows * 2],
+    });
+    b.bench("row_access/dense/per_op", || row_access_per_op(&dense, |i| i % LIVE));
+    let dense = std::cell::RefCell::new(TokenStore::dense(2, rows));
+    b.bench("row_access/dense/fused", || row_access_fused(&dense, |i| i % LIVE));
+    let sparse = std::cell::RefCell::new(PerOpStore::Sparse {
+        map: FxHashMap::default(),
+        slab: ValueSlab::new(2),
+    });
+    // Tags keep growing across iterations, as the engine's counter does.
+    let epoch = std::cell::Cell::new(0u64);
+    let next_epoch = || epoch.replace(epoch.get() + TURNOVER);
+    b.bench("row_access/sparse/per_op", || {
+        let base = next_epoch();
+        row_access_per_op(&sparse, |i| base + i)
+    });
+    let sparse = std::cell::RefCell::new(TokenStore::sparse(2));
+    b.bench("row_access/sparse/fused", || {
+        let base = next_epoch();
+        row_access_fused(&sparse, |i| base + i)
+    });
 
     b.bench("sparse_store_churn/siphash", churn::<std::collections::hash_map::RandomState>);
     b.bench("sparse_store_churn/fxhash", churn::<tyr_sim::fxhash::FxBuildHasher>);

@@ -40,17 +40,19 @@
 //! keep validating.
 //!
 //! [`validate`] is the schema gate `ci.sh` runs against both the emitted
-//! file and the committed baseline.
+//! file and the committed baseline; `bench-check --sim-exact` additionally
+//! re-runs the committed baseline's cells and fails unless every
+//! `cycles`/`dyn_instrs` is reproduced exactly.
 
 use std::path::Path;
 use std::time::Instant;
 
 use tyr_stats::json::{self, Json};
 use tyr_stats::LogHistogram;
-use tyr_workloads::{suite, APP_NAMES};
+use tyr_workloads::{suite, Scale, Workload, APP_NAMES};
 
 use crate::figures::Ctx;
-use crate::{pool, run_system, System};
+use crate::{pool, run_system, RunConfig, System};
 
 /// The schema identifier written to and required of every baseline file.
 pub const SCHEMA: &str = "tyr-bench-suite/v1";
@@ -78,7 +80,7 @@ pub fn run(ctx: &Ctx, out: &Path) -> Result<(), String> {
         ctx.jobs
     );
     let workloads = suite(ctx.scale, ctx.seed);
-    let grid: Vec<(String, (&tyr_workloads::Workload, System))> = workloads
+    let grid: Vec<(String, (&Workload, System))> = workloads
         .iter()
         .flat_map(|w| System::ALL.map(|sys| (format!("{} on {}", w.name, sys.label()), (w, sys))))
         .collect();
@@ -167,18 +169,75 @@ pub fn run(ctx: &Ctx, out: &Path) -> Result<(), String> {
 
 /// Validates a baseline file on disk (the `repro bench-check` command —
 /// the CI gate for both the freshly emitted file and the committed
-/// baseline).
+/// baseline). With `sim_exact` the simulated half of the file is checked
+/// too, not just its shape: every cell is re-run under the scale, seed,
+/// issue width and tag count the header records (everything else — memory
+/// model, jobs — from `ctx`) and its deterministic `cycles`/`dyn_instrs`
+/// must equal the recorded values, so a host-speed change to an engine has
+/// to reproduce the committed file exactly.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first schema violation.
-pub fn check_file(path: &Path) -> Result<(), String> {
+/// Returns a message naming the first schema violation, or every cell
+/// whose simulated counts drifted.
+pub fn check_file(ctx: &Ctx, path: &Path, sim_exact: bool) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     validate(&doc)?;
     println!("{}: schema {SCHEMA} ok", path.display());
+    if sim_exact {
+        let cells = check_sim_exact(ctx, &doc)?;
+        println!("{}: cycles and dyn_instrs of all {cells} cells reproduced", path.display());
+    }
     Ok(())
+}
+
+/// The `sim_exact` half of [`check_file`] over the validated baseline
+/// `doc`. Returns the number of cells checked.
+///
+/// # Errors
+///
+/// Names every drifted cell with its recorded and observed counts.
+fn check_sim_exact(ctx: &Ctx, doc: &Json) -> Result<usize, String> {
+    let header = |key: &str| doc.get(key).and_then(Json::as_f64).expect("validated") as u64;
+    let scale = match doc.get("scale").and_then(Json::as_str) {
+        Some("tiny") => Scale::Tiny,
+        Some("small") => Scale::Small,
+        Some("paper") => Scale::Paper,
+        other => return Err(format!("cannot re-run scale {other:?}")),
+    };
+    let cfg = RunConfig {
+        issue_width: header("issue_width") as usize,
+        tags: header("tags") as usize,
+        ..ctx.cfg.clone()
+    };
+    let workloads = suite(scale, header("seed"));
+    let entries = doc.get("entries").and_then(Json::as_arr).expect("validated");
+    fn name<'a>(e: &'a Json, key: &str) -> &'a str {
+        e.get(key).and_then(Json::as_str).expect("validated")
+    }
+    let cells: Vec<(String, &Json)> = entries
+        .iter()
+        .map(|e| (format!("{} on {}", name(e, "kernel"), name(e, "system")), e))
+        .collect();
+    let drift: Vec<String> = pool::parallel_map_labeled(ctx.jobs, cells, |e| {
+        let count = |key: &str| e.get(key).and_then(Json::as_f64).expect("validated") as u64;
+        let w = workloads.iter().find(|w| w.name == name(e, "kernel")).expect("validated");
+        let sys = System::ALL.into_iter().find(|s| s.label() == name(e, "system"));
+        let r = run_system(w, sys.expect("validated"), &cfg);
+        let (want, got) = ([count("cycles"), count("dyn_instrs")], [r.cycles(), r.dyn_instrs()]);
+        (got != want)
+            .then(|| format!("{} on {}: recorded {want:?}, now {got:?}", w.name, name(e, "system")))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    if drift.is_empty() {
+        Ok(entries.len())
+    } else {
+        Err(format!("simulated [cycles, dyn_instrs] drifted:\n  {}", drift.join("\n  ")))
+    }
 }
 
 /// Checks a document against the `tyr-bench-suite/v1` schema: the schema
@@ -407,10 +466,7 @@ mod tests {
     }
 
     fn set_entry0(doc: &mut Json, key: &str, v: Json) {
-        let Json::Obj(pairs) = doc else { unreachable!() };
-        let entries = pairs.iter_mut().find(|(k, _)| k == "entries").unwrap();
-        let Json::Arr(es) = &mut entries.1 else { unreachable!() };
-        let Json::Obj(e0) = &mut es[0] else { unreachable!() };
+        let Json::Obj(e0) = &mut entries_mut(doc)[0] else { unreachable!() };
         e0.push((key.into(), v));
     }
 
@@ -441,6 +497,37 @@ mod tests {
         let mut stringy = minimal_doc();
         set_entry0(&mut stringy, "wall_p50_ms", json::str("fast"));
         assert!(validate(&stringy).unwrap_err().contains("non-numeric"));
+    }
+
+    fn entries_mut(doc: &mut Json) -> &mut Vec<Json> {
+        let Json::Obj(pairs) = doc else { unreachable!() };
+        let entries = pairs.iter_mut().find(|(k, _)| k == "entries").unwrap();
+        let Json::Arr(es) = &mut entries.1 else { unreachable!() };
+        es
+    }
+
+    #[test]
+    fn sim_exact_reproduces_a_real_baseline_and_names_drifted_cells() {
+        // Fill the well-formed document with the counts the suite really
+        // produces at its recorded scale and seed: it must reproduce.
+        let ctx = Ctx::default();
+        let mut doc = minimal_doc();
+        let workloads = suite(Scale::Tiny, 1);
+        let grid = workloads.iter().flat_map(|w| System::ALL.map(move |sys| (w, sys)));
+        for (e, (w, sys)) in entries_mut(&mut doc).iter_mut().zip(grid) {
+            let r = run_system(w, sys, &ctx.cfg);
+            set(e, "cycles", json::num(r.cycles()));
+            set(e, "dyn_instrs", json::num(r.dyn_instrs()));
+        }
+        assert_eq!(check_sim_exact(&ctx, &doc), Ok(35));
+
+        // One count off by one: that cell, and only it, is named.
+        let dmm_unordered = &mut entries_mut(&mut doc)[8];
+        let cycles = dmm_unordered.get("cycles").and_then(Json::as_f64).unwrap() as u64;
+        set(dmm_unordered, "cycles", json::num(cycles + 1));
+        let err = check_sim_exact(&ctx, &doc).unwrap_err();
+        assert_eq!(err.lines().count(), 2, "{err}");
+        assert!(err.contains("dmm on unordered"), "{err}");
     }
 
     #[test]

@@ -1035,6 +1035,32 @@ mod tests {
         }
     }
 
+    /// Recipe seed 10703 (found by the benchmark's input scan) lowers to a
+    /// `root.barrier` join with more than 48 wired inputs. The tagged engine
+    /// used to `assert!` on it at construction, aborting a whole sweep; now
+    /// `run` returns the typed error, so the fuzz sweep and translation
+    /// validation each report it as a named failing case.
+    #[test]
+    fn over_wide_join_is_a_named_engine_error_not_a_panic() {
+        let case = Recipe::generate(10703, FUZZ_RECIPE_SIZE).materialize();
+        let dfg = lower_tagged(&case.program, TaggingDiscipline::Tyr).unwrap();
+        let count = dfg.max_wired_inputs();
+        assert!(count > 48, "seed 10703 no longer generates the over-wide join ({count})");
+
+        let ora = oracle(&case).unwrap();
+        let dog = Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET);
+        let mem = MemConfig::default();
+        let (v, _) = run_engine(&case, System::Tyr, None, dog, true, &mem, &ora);
+        let want = tyr_sim::SimError::TooManyInputs { count }.to_string();
+        assert_eq!(v, Verdict::EngineError(want));
+
+        let tv =
+            tyr_verify::validate_translations("s10703", &case.program, &case.memory, &case.args);
+        let faults: Vec<_> =
+            tv.diags.iter().filter(|d| d.message.contains("wired inputs")).collect();
+        assert_eq!(faults.len(), 2, "both TYR tag configurations report it: {:?}", tv.diags);
+    }
+
     /// Every injected fault is emitted as a probe event: the count of
     /// `FaultInjected` events seen by a probe equals the length of the
     /// run's fault log.

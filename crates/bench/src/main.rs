@@ -42,7 +42,10 @@ commands: verify table1 table2 fig2 fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig
                                      tagged-global-bounded vs ordered on dmv and blocked dgemm across L1 sizes;
                                      --csv DIR writes figure_locality.csv)
           bench [--quick]           (suite perf baseline -> BENCH_suite.json, or --out FILE; --quick forces tiny scale)
-          bench-check <file>        (validate a baseline file against the tyr-bench-suite/v1 schema)
+          bench-check [--sim-exact] <file>
+                                    (validate a baseline file against the tyr-bench-suite/v1 schema;
+                                     --sim-exact also re-runs its cells and fails unless every
+                                     cycles/dyn_instrs equals the recorded value)
           fuzz [--seeds N] [--faults PLAN] [--deadline-secs N] [--quick]
                                     (differential fuzz all five engines vs the oracle; --quick = 25 seeds;
                                      PLAN e.g. 'drop,corrupt:2@100..5000' or 'all'; nonzero exit on any finding)
@@ -82,6 +85,7 @@ fn main() -> ExitCode {
     let mut cmds: Vec<String> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
     let mut quick = false;
+    let mut sim_exact = false;
     let mut fuzz_seeds: Option<u64> = None;
     let mut fuzz_faults: Option<String> = None;
     let mut fuzz_deadline: Option<u64> = None;
@@ -125,6 +129,7 @@ fn main() -> ExitCode {
                 }
             }
             "--quick" => quick = true,
+            "--sim-exact" => sim_exact = true,
             "--ticked" => ctx.cfg.event_driven = false,
             "--seeds" => fuzz_seeds = Some(num_of(&arg, &mut it)),
             "--faults" => fuzz_faults = Some(value_of(&arg, &mut it)),
@@ -281,7 +286,7 @@ fn main() -> ExitCode {
                     eprintln!("bench-check needs a <file>\n{USAGE}");
                     return ExitCode::from(2);
                 };
-                if let Err(e) = bench_cmd::check_file(std::path::Path::new(file)) {
+                if let Err(e) = bench_cmd::check_file(&ctx, std::path::Path::new(file), sim_exact) {
                     eprintln!("bench-check failed: {e}");
                     return ExitCode::FAILURE;
                 }

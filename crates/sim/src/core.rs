@@ -9,7 +9,7 @@
 use tyr_dfg::Dfg;
 use tyr_ir::interp::InterpError;
 use tyr_ir::{MemoryImage, Value};
-use tyr_stats::probe::Probe;
+use tyr_stats::probe::{Probe, ProbeEvent};
 use tyr_stats::{IpcHistogram, Trace};
 
 use crate::fault::{FaultPlan, FaultState};
@@ -101,6 +101,14 @@ impl<P: Probe> Core<P> {
             faults: faults.map(FaultState::new),
             port,
             probe,
+        }
+    }
+
+    /// Emits `ev` at the current cycle (compiled out under `NoProbe`).
+    #[inline]
+    pub(crate) fn event(&mut self, ev: ProbeEvent) {
+        if P::ENABLED {
+            self.probe.event(self.cycle, ev);
         }
     }
 

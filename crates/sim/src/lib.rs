@@ -44,10 +44,12 @@ pub mod fxhash;
 mod mem;
 pub mod ooo;
 pub mod ordered;
+mod plan;
 pub mod result;
 pub mod seqdf;
 pub mod seqvn;
 pub mod slab;
+pub mod store;
 pub mod tagged;
 pub mod watchdog;
 

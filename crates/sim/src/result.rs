@@ -345,7 +345,7 @@ impl fmt::Display for SimError {
                 write!(f, "tag {tag} outside its space of {space}")
             }
             SimError::TooManyInputs { count } => {
-                write!(f, "node has {count} wired inputs (maximum 63)")
+                write!(f, "a node has {count} wired inputs (the token store holds 48)")
             }
             SimError::UseAfterFree { node, block, tag } => {
                 write!(

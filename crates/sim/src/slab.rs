@@ -36,6 +36,7 @@ impl ValueSlab {
     }
 
     /// Hands out a zeroed row, recycling a released one when available.
+    #[inline]
     pub fn acquire(&mut self) -> u32 {
         if let Some(row) = self.free.pop() {
             return row;
@@ -49,9 +50,9 @@ impl ValueSlab {
     }
 
     /// Returns `row` to the pool, zeroing it for its next tenant.
+    #[inline]
     pub fn release(&mut self, row: u32) {
-        let start = row as usize * self.width;
-        self.data[start..start + self.width].fill(0);
+        self.row_mut(row).fill(0);
         self.free.push(row);
     }
 
@@ -65,6 +66,13 @@ impl ValueSlab {
     #[inline]
     pub fn set(&mut self, row: u32, port: u16, val: Value) {
         self.data[row as usize * self.width + port as usize] = val;
+    }
+
+    /// All `width` values of `row`.
+    #[inline]
+    pub fn row_mut(&mut self, row: u32) -> &mut [Value] {
+        let start = row as usize * self.width;
+        &mut self.data[start..start + self.width]
     }
 
     /// Rows ever carved out of the backing storage (capacity high-water

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{AllocKind, BlockId, Dfg, InKind, NodeId, NodeKind, PortRef};
+use tyr_dfg::{AllocKind, BlockId, Dfg, InKind, Node, NodeKind, PortRef};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
 
@@ -32,17 +32,14 @@ use crate::cache::MemConfig;
 use crate::core::{declare_graph, Core, End};
 use crate::event::EventQueue;
 use crate::fault::FaultPlan;
-use crate::fxhash::FxHashMap;
 use crate::mem::MemPort;
+use crate::plan::{Edge, Op, Plan, PlanNode};
 use crate::result::{Outcome, RunResult, SimError};
-use crate::slab::ValueSlab;
+use crate::store::{TokenStore, IN_QUEUE};
 use crate::watchdog::Watchdog;
 
-/// Maximum wired inputs per node (token-presence bits share a `u64` with
-/// three engine flags).
-const MAX_WIRED: usize = 48;
-
-const IN_QUEUE: u64 = 1 << 63;
+/// Presence-word flags beside [`IN_QUEUE`]: the activation is parked on a
+/// pending-allocate list; the `allocate` popped before its `ready` arrived.
 const IN_PENDING: u64 = 1 << 62;
 const AL_POPPED: u64 = 1 << 61;
 
@@ -150,101 +147,31 @@ impl Default for TaggedConfig {
     }
 }
 
-/// Token storage for one node: presence bitmask + per-port values, keyed by
-/// tag. TYR's bounded local tag spaces permit small dense arrays — exactly
-/// the implementation benefit Sec. III claims; unbounded tags force an
-/// associative (hash) store.
-enum Store {
-    Dense {
-        n_ports: usize,
-        present: Vec<u64>,
-        vals: Vec<Value>,
-    },
-    /// Unbounded tags force an associative store. Keys are engine-generated
-    /// tag counters (never adversarial), so the map hashes with [`FxHasher`]
-    /// rather than SipHash; slot values live in a pooled [`ValueSlab`] so
-    /// steady-state token match/clear never touches the allocator.
-    Sparse {
-        map: FxHashMap<u64, SparseSlot>,
-        slab: ValueSlab,
-    },
+/// Live tokens per concurrent block (token-store occupancy) and the peak
+/// each reached.
+struct Occupancy {
+    live: Vec<u64>,
+    peak: Vec<u64>,
 }
 
-struct SparseSlot {
-    present: u64,
-    /// Row handle into the store's [`ValueSlab`].
-    row: u32,
-}
-
-impl Store {
-    fn present(&self, tag: u64) -> u64 {
-        match self {
-            // Out-of-range reads report "nothing present" rather than
-            // panicking: a corrupted value feeding a dynamic tag must
-            // surface as [`SimError::TagOverflow`] from the guarded
-            // [`Store::set`], not as an index fault.
-            Store::Dense { present, .. } => present.get(tag as usize).copied().unwrap_or(0),
-            Store::Sparse { map, .. } => map.get(&tag).map_or(0, |s| s.present),
+impl Occupancy {
+    #[inline]
+    fn add(&mut self, block: u32, n: u64) {
+        let b = block as usize;
+        self.live[b] += n;
+        if self.live[b] > self.peak[b] {
+            self.peak[b] = self.live[b];
         }
     }
 
-    fn set(&mut self, tag: u64, port: u16, val: Value) -> Result<u64, SimError> {
-        match self {
-            Store::Dense { n_ports, present, vals } => {
-                let t = tag as usize;
-                if t >= present.len() {
-                    return Err(SimError::TagOverflow { tag, space: present.len() });
-                }
-                present[t] |= 1 << port;
-                vals[t * *n_ports + port as usize] = val;
-                Ok(present[t])
-            }
-            Store::Sparse { map, slab } => {
-                let slot = map
-                    .entry(tag)
-                    .or_insert_with(|| SparseSlot { present: 0, row: slab.acquire() });
-                slot.present |= 1 << port;
-                slab.set(slot.row, port, val);
-                Ok(slot.present)
-            }
-        }
-    }
-
-    fn or_flags(&mut self, tag: u64, flags: u64) {
-        match self {
-            Store::Dense { present, .. } => present[tag as usize] |= flags,
-            Store::Sparse { map, slab } => {
-                map.entry(tag)
-                    .or_insert_with(|| SparseSlot { present: 0, row: slab.acquire() })
-                    .present |= flags;
-            }
-        }
-    }
-
-    fn clear(&mut self, tag: u64, bits: u64) {
-        match self {
-            Store::Dense { present, .. } => present[tag as usize] &= !bits,
-            Store::Sparse { map, slab } => {
-                if let Some(slot) = map.get_mut(&tag) {
-                    slot.present &= !bits;
-                    if slot.present == 0 {
-                        let row = slot.row;
-                        map.remove(&tag);
-                        slab.release(row);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The value on `port` under `tag`, or `None` if the Sparse path holds
-    /// no token set for the tag (the Dense path always has backing storage).
-    fn val(&self, tag: u64, port: u16) -> Option<Value> {
-        match self {
-            Store::Dense { n_ports, vals, .. } => {
-                Some(vals[tag as usize * *n_ports + port as usize])
-            }
-            Store::Sparse { map, slab } => map.get(&tag).map(|s| slab.get(s.row, port)),
+    /// Counts a fan-out, one same-block run at a time — exact, since a
+    /// block's count only rises within a run, so its last value is its peak.
+    #[inline]
+    fn add_edges(&mut self, edges: &[Edge]) {
+        let mut i = 0;
+        while let Some(e) = edges.get(i) {
+            self.add(e.block, e.run as u64);
+            i += e.run as usize;
         }
     }
 }
@@ -259,11 +186,15 @@ enum Backend {
 /// observability, zero overhead) or [`TaggedEngine::with_probe`], run with
 /// [`TaggedEngine::run`].
 pub struct TaggedEngine<'a, P: Probe = NoProbe> {
+    /// The graph, for cold paths only (labels, faults, reports); the hot
+    /// loop reads `plan`.
     dfg: &'a Dfg,
+    plan: Plan,
     mem: MemoryImage,
     cfg: TaggedConfig,
-    required: Vec<u64>,
-    store: Vec<Store>,
+    /// Token storage per node: TYR's bounded local tag spaces permit small
+    /// dense arrays, unbounded tags force an associative store.
+    store: Vec<TokenStore>,
     backend: Backend,
     ready: VecDeque<(u32, u64)>,
     emissions: Vec<(PortRef, u64, Value)>,
@@ -272,10 +203,9 @@ pub struct TaggedEngine<'a, P: Probe = NoProbe> {
     delayed: EventQueue<(PortRef, u64, Value)>,
     /// Scratch for the per-cycle release drain (capacity reused).
     due: Vec<(PortRef, u64, Value)>,
-    /// Live tokens per concurrent block (token-store occupancy).
-    block_live: Vec<u64>,
-    /// Peak occupancy per block.
-    block_peak: Vec<u64>,
+    /// Scratch for the parked allocates a `free` re-examines (likewise).
+    unparked: Vec<(u32, u64)>,
+    occupancy: Occupancy,
     fired_total: u64,
     returns: Option<Vec<Value>>,
     /// Set once a tag-exhaust fault strikes: the victim local space index
@@ -309,11 +239,6 @@ impl<'a> TaggedEngine<'a> {
     /// let r = TaggedEngine::new(&dfg, MemoryImage::new(), cfg).run().unwrap();
     /// assert_eq!(r.returns, vec![42]);
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node has more than 48 wired inputs (no lowering output
-    /// comes close).
     pub fn new(dfg: &'a Dfg, mem: MemoryImage, cfg: TaggedConfig) -> Self {
         TaggedEngine::with_probe(dfg, mem, cfg, NoProbe)
     }
@@ -322,31 +247,8 @@ impl<'a> TaggedEngine<'a> {
 impl<'a, P: Probe> TaggedEngine<'a, P> {
     /// Builds an engine that emits probe events into `probe` (pass `&mut
     /// sink` to keep ownership of the sink across [`TaggedEngine::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node has more than 48 wired inputs.
     pub fn with_probe(dfg: &'a Dfg, mem: MemoryImage, cfg: TaggedConfig, mut probe: P) -> Self {
         declare_graph(&mut probe, dfg);
-        let mut required = Vec::with_capacity(dfg.len());
-        for n in &dfg.nodes {
-            let mut mask = 0u64;
-            let mut count = 0u32;
-            for (i, k) in n.ins.iter().enumerate() {
-                if matches!(k, InKind::Wire) {
-                    mask |= 1 << i;
-                    count += 1;
-                }
-            }
-            assert!(
-                (count as usize) <= MAX_WIRED,
-                "node {} has {count} wired inputs (max {MAX_WIRED})",
-                n.label
-            );
-            required.push(mask);
-            let _ = count;
-        }
-
         let space_size = |name: &str, default_tags: usize, overrides: &[(String, usize)]| {
             overrides
                 .iter()
@@ -356,7 +258,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 .max(1)
         };
 
-        let (backend, store): (Backend, Vec<Store>) = match &cfg.tag_policy {
+        let (backend, store): (Backend, Vec<TokenStore>) = match &cfg.tag_policy {
             TagPolicy::Local { default_tags, overrides } => {
                 let root = dfg.node(dfg.source).block;
                 let sizes: Vec<usize> = dfg
@@ -374,44 +276,20 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     })
                     .collect();
                 let pending = vec![VecDeque::new(); sizes.len()];
-                let store = dfg
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        let t = sizes[n.block.0 as usize];
-                        Store::Dense {
-                            n_ports: n.ins.len(),
-                            present: vec![0; t],
-                            vals: vec![0; t * n.ins.len()],
-                        }
-                    })
-                    .collect();
+                let rows = |n: &Node| TokenStore::dense(n.ins.len(), sizes[n.block.0 as usize]);
+                let store = dfg.nodes.iter().map(rows).collect();
                 (Backend::Local { free, pending }, store)
             }
             TagPolicy::GlobalBounded { tags } => {
                 let t = (*tags).max(1);
                 // Tags 1..=t are the pool; the root context owns tag 0.
                 let free: Vec<u64> = (1..=t as u64).rev().collect();
-                let store = dfg
-                    .nodes
-                    .iter()
-                    .map(|n| Store::Dense {
-                        n_ports: n.ins.len(),
-                        present: vec![0; t + 1],
-                        vals: vec![0; (t + 1) * n.ins.len()],
-                    })
-                    .collect();
+                let store =
+                    dfg.nodes.iter().map(|n| TokenStore::dense(n.ins.len(), t + 1)).collect();
                 (Backend::Global { free, pending: VecDeque::new() }, store)
             }
             TagPolicy::GlobalUnbounded => {
-                let store = dfg
-                    .nodes
-                    .iter()
-                    .map(|n| Store::Sparse {
-                        map: FxHashMap::default(),
-                        slab: ValueSlab::new(n.ins.len()),
-                    })
-                    .collect();
+                let store = dfg.nodes.iter().map(|n| TokenStore::sparse(n.ins.len())).collect();
                 (Backend::Unbounded { next: 1 }, store)
             }
         };
@@ -433,19 +311,20 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             EventQueue::new(cfg.mem.ideal_latency())
         };
         let core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
+        let blocks = dfg.blocks.len();
         TaggedEngine {
             dfg,
+            plan: Plan::compile(dfg),
             mem,
             cfg,
-            required,
             store,
             backend,
             ready: VecDeque::new(),
             emissions: Vec::new(),
             delayed,
             due: Vec::new(),
-            block_live: vec![0; dfg.blocks.len()],
-            block_peak: vec![0; dfg.blocks.len()],
+            unparked: Vec::new(),
+            occupancy: Occupancy { live: vec![0; blocks], peak: vec![0; blocks] },
             fired_total: 0,
             returns: None,
             tag_sink: None,
@@ -458,9 +337,14 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     /// # Errors
     ///
     /// Returns a [`SimError`] on simulated-program faults (memory, divide),
-    /// the cycle limit, or internal invariant violations. Deadlock is *not*
-    /// an error: it is reported via [`Outcome::Deadlock`].
+    /// the cycle limit, internal invariant violations, or a graph the token
+    /// store cannot hold ([`SimError::TooManyInputs`]: a node with more than
+    /// 48 wired inputs). Deadlock is *not* an error: it is reported via
+    /// [`Outcome::Deadlock`].
     pub fn run(mut self) -> Result<RunResult, SimError> {
+        if let Some(count) = self.plan.too_wide {
+            return Err(SimError::TooManyInputs { count });
+        }
         let end = self.run_loop();
         let peaks = self.store_peaks();
         let mut r = self.core.finish(end, self.mem)?;
@@ -514,18 +398,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                         continue;
                     }
                 }
-                let is_sync = matches!(
-                    self.dfg.nodes[n as usize].kind,
-                    NodeKind::Allocate { .. }
-                        | NodeKind::NewTag
-                        | NodeKind::Free { .. }
-                        | NodeKind::ChangeTag
-                        | NodeKind::ChangeTagDyn
-                        | NodeKind::ExtractTag
-                        | NodeKind::Join
-                        | NodeKind::Merge
-                        | NodeKind::Const(_)
-                );
+                let PlanNode { op, is_sync, .. } = self.plan.nodes[n as usize];
                 if self.cfg.free_token_sync && !is_sync && (fired as usize) >= self.cfg.issue_width
                 {
                     // Out of compute slots this cycle; defer without
@@ -533,14 +406,13 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     deferred.push((n, t));
                     continue;
                 }
-                self.store[n as usize].clear(t, IN_QUEUE);
-                if !self.recheck_allocate(n, t) {
-                    continue; // moved back to the pending list
+                if let Op::Allocate { space, kind } = op {
+                    if !self.recheck_allocate(n, t, space, kind) {
+                        continue; // moved back to the pending list
+                    }
                 }
-                self.fire(NodeId(n), t)?;
-                if P::ENABLED {
-                    self.core.probe.event(self.core.cycle, ProbeEvent::NodeFired { node: n });
-                }
+                self.fire(n, t)?;
+                self.core.event(ProbeEvent::NodeFired { node: n });
                 if self.cfg.free_token_sync && is_sync {
                     sync_fired += 1;
                 } else {
@@ -548,14 +420,14 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 }
             }
 
-            // Release memory results whose latency has elapsed.
+            // Release memory results whose latency has elapsed. They have
+            // counted as live (machine and block) since issue; only now are
+            // they produced.
             let mut due = std::mem::take(&mut self.due);
             self.delayed.drain_due(self.core.cycle, &mut due);
             for (target, tag, val) in due.drain(..) {
-                // Re-counted (live and block) by emit_to.
-                self.core.live -= 1;
-                self.block_live[self.dfg.nodes[target.node.0 as usize].block.0 as usize] -= 1;
-                self.emit_to(target, tag, val);
+                self.core.event(ProbeEvent::TokenProduced { node: target.node.0 });
+                self.emissions.push((target, tag, val));
             }
             self.due = due;
             // Deliver this cycle's emissions (visible next cycle). The list
@@ -681,15 +553,15 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     fn fault_perturb_emission(&mut self, target: PortRef, tag: u64, val: &mut Value) -> bool {
         let (node, port) = (target.node.0, target.port);
         let n = &self.dfg.nodes[node as usize];
-        let (label, block) = (&n.label, n.block.0 as usize);
+        let (label, block) = (&n.label, n.block.0);
         let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
         let fs = self.core.faults.as_mut().expect("caller checked");
         if fs.strike(cycle, FaultKind::TokenDrop) {
             let detail = format!("dropped token (value {val}) bound for '{label}' port {port}");
             fs.inject(probe, cycle, node, FaultKind::TokenDrop, detail);
-            // The token was counted live by `emit_to`; un-count it.
+            // The token was counted live by `emit`; un-count it.
             self.core.live -= 1;
-            self.block_live[block] -= 1;
+            self.occupancy.live[block as usize] -= 1;
             return false;
         }
         if fs.strike(cycle, FaultKind::TokenDup) {
@@ -702,8 +574,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             // tagged-dataflow invariant and trips `TagOverflow`.
             self.emissions.push((target, tag, *val));
             self.core.live += 1;
-            self.block_live[block] += 1;
-            self.block_peak[block] = self.block_peak[block].max(self.block_live[block]);
+            self.occupancy.add(block, 1);
         }
         // Corrupting a dynamic continuation (`ChangeTagDyn` port 1 encodes a
         // port reference) would send the token to an arbitrary graph index —
@@ -720,7 +591,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     }
 
     fn store_peaks(&self) -> Vec<(String, u64)> {
-        self.dfg.blocks.iter().zip(&self.block_peak).map(|(b, &p)| (b.name.clone(), p)).collect()
+        let peaks = self.dfg.blocks.iter().zip(&self.occupancy.peak);
+        peaks.map(|(b, &p)| (b.name.clone(), p)).collect()
     }
 
     fn pending_report(&self) -> Vec<String> {
@@ -744,37 +616,39 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         out
     }
 
-    /// For allocate activations popped from the ready queue: re-verify
-    /// eligibility (free lists may have changed). Returns `false` (and parks
-    /// the activation) if it can no longer pop.
-    fn recheck_allocate(&mut self, n: u32, t: u64) -> bool {
-        let NodeKind::Allocate { space, kind } = &self.dfg.nodes[n as usize].kind else {
+    /// For an allocate activation popped from the ready queue: takes it off
+    /// the queue and re-verifies eligibility (free lists may have changed).
+    /// Returns `false` (and parks the activation) if it can no longer pop.
+    fn recheck_allocate(&mut self, n: u32, t: u64, space: BlockId, kind: AllocKind) -> bool {
+        let present = self.store[n as usize].clear(t, IN_QUEUE);
+        if self.alloc_eligible(space, kind, present & 0b10 != 0) {
             return true;
-        };
-        let ready_present = self.store[n as usize].present(t) & 0b10 != 0;
-        if self.alloc_eligible(*space, *kind, ready_present) {
-            true
-        } else {
-            self.park(*space, n, t);
-            if P::ENABLED {
-                self.core.probe.event(
-                    self.core.cycle,
-                    ProbeEvent::StallBegin { node: n, tag: t, reason: StallReason::TagStarved },
-                );
-            }
-            false
         }
+        self.starve(space, n, t);
+        false
     }
 
     /// Parks activation `(n, t)` on `space`'s pending list until a tag
     /// returns to it.
     fn park(&mut self, space: BlockId, n: u32, t: u64) {
         self.store[n as usize].or_flags(t, IN_PENDING);
+        self.pending(space).push_back((n, t));
+    }
+
+    /// The list of activations parked on `space`.
+    fn pending(&mut self, space: BlockId) -> &mut VecDeque<(u32, u64)> {
         match &mut self.backend {
-            Backend::Local { pending, .. } => pending[space.0 as usize].push_back((n, t)),
-            Backend::Global { pending, .. } => pending.push_back((n, t)),
+            Backend::Local { pending, .. } => &mut pending[space.0 as usize],
+            Backend::Global { pending, .. } => pending,
             Backend::Unbounded { .. } => unreachable!("unbounded is always eligible"),
         }
+    }
+
+    /// Parks `(n, t)` and opens (or switches to) its tag-starved stall.
+    fn starve(&mut self, space: BlockId, n: u32, t: u64) {
+        self.park(space, n, t);
+        let reason = StallReason::TagStarved;
+        self.core.event(ProbeEvent::StallBegin { node: n, tag: t, reason });
     }
 
     fn alloc_eligible(&self, space: BlockId, kind: AllocKind, ready: bool) -> bool {
@@ -825,7 +699,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
         // Returning a tag may unblock parked allocates; re-examine them in
         // arrival order.
-        let mut unparked: Vec<(u32, u64)> = Vec::new();
+        let mut unparked = std::mem::take(&mut self.unparked);
         match &mut self.backend {
             Backend::Local { free, pending } => {
                 free[space.0 as usize].push(tag);
@@ -837,116 +711,76 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
             }
             Backend::Unbounded { .. } => {}
         }
-        for (n, t) in unparked {
+        for (n, t) in unparked.drain(..) {
             // Entries promoted by a later `ready` arrival are stale.
-            if self.store[n as usize].present(t) & IN_PENDING == 0 {
+            let present = self.store[n as usize].present(t);
+            if present & IN_PENDING == 0 {
                 continue;
             }
-            self.store[n as usize].clear(t, IN_PENDING);
-            let node = &self.dfg.nodes[n as usize];
-            let (space, kind, ready) = match &node.kind {
+            let PlanNode { op, block, .. } = self.plan.nodes[n as usize];
+            let (space, kind, ready) = match op {
                 // A parked pseudo-allocate (bounded policy over an
                 // unbounded-elaboration graph).
-                NodeKind::NewTag => (node.block, AllocKind::Call, true),
-                NodeKind::Allocate { space, kind } => {
-                    (*space, *kind, self.store[n as usize].present(t) & 0b10 != 0)
-                }
+                Op::NewTag => (BlockId(block), AllocKind::Call, true),
+                Op::Allocate { space, kind } => (space, kind, present & 0b10 != 0),
                 _ => unreachable!("only allocates park"),
             };
             if self.alloc_eligible(space, kind, ready) {
+                self.store[n as usize].clear(t, IN_PENDING);
                 self.store[n as usize].or_flags(t, IN_QUEUE);
                 self.ready.push_back((n, t));
-                if P::ENABLED {
-                    self.core
-                        .probe
-                        .event(self.core.cycle, ProbeEvent::StallEnd { node: n, tag: t });
-                }
+                self.core.event(ProbeEvent::StallEnd { node: n, tag: t });
             } else {
-                self.park(space, n, t);
+                // Still starved: back on the list, `IN_PENDING` untouched.
+                self.pending(space).push_back((n, t));
             }
         }
+        self.unparked = unparked;
     }
 
-    fn emit(&mut self, node: NodeId, port: u16, tag: u64, val: Value) {
-        // Copy the graph reference out of `self` so the target list can be
-        // iterated in place while `emit_to` borrows `self` mutably — the
-        // previous per-fire `outs[port].clone()` was a hot-path allocation.
-        let dfg = self.dfg;
-        for &t in &dfg.nodes[node.0 as usize].outs[port as usize] {
-            self.emit_to(t, tag, val);
+    /// Sends `val` under `tag` down every wire of `n`'s output `port`.
+    #[inline(always)]
+    fn emit(&mut self, n: &PlanNode, port: u16, tag: u64, val: Value) {
+        let edges = self.plan.out(n, port);
+        for e in edges {
+            self.core.event(ProbeEvent::TokenProduced { node: e.to.node.0 });
+            self.emissions.push((e.to, tag, val));
         }
+        self.core.live += edges.len() as u64;
+        self.occupancy.add_edges(edges);
     }
 
-    fn emit_to(&mut self, target: PortRef, tag: u64, val: Value) {
-        if P::ENABLED {
-            self.core
-                .probe
-                .event(self.core.cycle, ProbeEvent::TokenProduced { node: target.node.0 });
-        }
-        self.emissions.push((target, tag, val));
-        self.core.live += 1;
-        let b = self.dfg.nodes[target.node.0 as usize].block.0 as usize;
-        self.block_live[b] += 1;
-        if self.block_live[b] > self.block_peak[b] {
-            self.block_peak[b] = self.block_live[b];
-        }
-    }
-
-    /// Emits a memory result on `port` after `latency` cycles (plus any
+    /// Emits a memory result on output 0 after `latency` cycles (plus any
     /// injected extra delay).
-    fn emit_mem(&mut self, node: NodeId, port: u16, tag: u64, mut val: Value, latency: u64) {
+    fn emit_mem(&mut self, node: u32, n: &PlanNode, tag: u64, mut val: Value, latency: u64) {
         let mut extra = 0u64;
         if let Some(fs) = self.core.faults.as_mut() {
-            let n = &self.dfg.nodes[node.0 as usize];
-            let is_load = matches!(n.kind, NodeKind::Load);
+            let label = &self.dfg.nodes[node as usize].label;
+            let is_load = matches!(n.op, Op::Load);
             let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
-            extra = fs.perturb_mem_response(probe, cycle, node.0, &n.label, is_load, &mut val);
+            extra = fs.perturb_mem_response(probe, cycle, node, label, is_load, &mut val);
         }
         if latency <= 1 && extra == 0 {
-            self.emit(node, port, tag, val);
+            self.emit(n, 0, tag, val);
             return;
         }
         let release = self.core.cycle + latency.max(1) + extra;
-        let dfg = self.dfg;
-        for &t in &dfg.nodes[node.0 as usize].outs[port as usize] {
-            self.delayed.push(release, (t, tag, val));
-            self.core.live += 1;
-            let b = dfg.nodes[t.node.0 as usize].block.0 as usize;
-            self.block_live[b] += 1;
-            if self.block_live[b] > self.block_peak[b] {
-                self.block_peak[b] = self.block_live[b];
-            }
+        let edges = self.plan.out(n, 0);
+        for e in edges {
+            self.delayed.push(release, (e.to, tag, val));
         }
+        self.core.live += edges.len() as u64;
+        self.occupancy.add_edges(edges);
     }
 
-    fn input(&self, node: NodeId, tag: u64, port: u16) -> Value {
-        match self.dfg.nodes[node.0 as usize].ins[port as usize] {
-            InKind::Imm(v) => v,
-            InKind::Wire => self.store[node.0 as usize].val(tag, port).unwrap_or_else(|| {
-                let n = &self.dfg.nodes[node.0 as usize];
-                panic!(
-                    "engine invariant violated: node '{}' (block '{}') fired reading \
-                     wired port {port} under tag {tag}, but the sparse store holds no \
-                     token set for that tag",
-                    n.label, self.dfg.blocks[n.block.0 as usize].name
-                )
-            }),
-        }
-    }
-
-    /// Consumes the wired inputs indicated by `mask`.
-    fn consume(&mut self, node: NodeId, tag: u64, mask: u64) {
-        let present = self.store[node.0 as usize].present(tag);
-        let eaten = present & mask;
-        self.store[node.0 as usize].clear(tag, eaten);
-        let n = eaten.count_ones() as u64;
-        self.core.live -= n;
-        self.block_live[self.dfg.nodes[node.0 as usize].block.0 as usize] -= n;
-        if P::ENABLED && n > 0 {
-            self.core.probe.event(
-                self.core.cycle,
-                ProbeEvent::TokenConsumed { node: node.0, count: n as u32 },
-            );
+    /// Settles the `eaten` tokens a firing of `node` took from its store.
+    #[inline]
+    fn consumed(&mut self, node: u32, block: u32, eaten: u64) {
+        let k = eaten.count_ones();
+        self.core.live -= k as u64;
+        self.occupancy.live[block as usize] -= k as u64;
+        if k > 0 {
+            self.core.event(ProbeEvent::TokenConsumed { node, count: k });
         }
     }
 
@@ -973,259 +807,177 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         Ok(())
     }
 
-    fn fire(&mut self, node: NodeId, tag: u64) -> Result<(), SimError> {
-        let n = &self.dfg.nodes[node.0 as usize];
-        let idx = node.0 as usize;
-        match &n.kind {
-            NodeKind::Alu(op) => {
-                let a = self.input(node, tag, 0);
-                let b = if n.ins.len() > 1 { self.input(node, tag, 1) } else { 0 };
-                let v = op.eval(a, b)?;
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, v);
+    fn fire(&mut self, node: u32, tag: u64) -> Result<(), SimError> {
+        let idx = node as usize;
+        let n = self.plan.nodes[idx];
+        let space = BlockId(n.block);
+        // A bounded policy running an unbounded-elaboration graph still
+        // hands out pool tags FCFS (without frees it exhausts quickly — that
+        // is the point of Fig. 11's companion discussion): a `newTag` that
+        // finds none parks as a pseudo-allocate request, tokens untouched.
+        if matches!(n.op, Op::NewTag) && !self.alloc_eligible(space, AllocKind::Call, true) {
+            self.store[idx].clear(tag, IN_QUEUE);
+            self.starve(space, node, tag);
+            return Ok(());
+        }
+        // The firing's one store access takes its tokens: the operands are
+        // the immediates overlaid with the wired values. Only a wide merge
+        // or sink reads ports past the three the plan pre-decodes (cold).
+        let mut narrow = n.imm;
+        let mut wide = Vec::new();
+        if n.n_ins > 3 && matches!(n.op, Op::Merge | Op::Sink) {
+            let imm = |k: &InKind| if let InKind::Imm(c) = k { *c } else { 0 };
+            wide = self.dfg.nodes[idx].ins.iter().map(imm).collect();
+        }
+        let v: &mut [Value] = if wide.is_empty() { &mut narrow } else { &mut wide };
+        // `allocate` takes its request (port 0) and, if present, its ready
+        // (port 1); everything else its whole input set.
+        let mask = if matches!(n.op, Op::Allocate { .. }) { 0b11 } else { n.required };
+        let eaten = self.store[idx].take(tag, mask, v) & mask;
+        match n.op {
+            Op::Alu(op) => {
+                let r = op.eval(v[0], v[1])?;
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, r);
             }
-            NodeKind::Select => {
-                let c = self.input(node, tag, 0);
-                let v = if c != 0 { self.input(node, tag, 1) } else { self.input(node, tag, 2) };
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, v);
+            Op::Select => {
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, if v[0] != 0 { v[1] } else { v[2] });
             }
-            NodeKind::Load => {
-                let addr = self.input(node, tag, 0);
-                let v = self.mem.load(addr)?;
-                let lat = self.core.mem(node.0, addr, false);
-                self.consume(node, tag, self.required[idx]);
-                self.emit_mem(node, 0, tag, v, lat);
+            Op::Load => {
+                let r = self.mem.load(v[0])?;
+                let lat = self.core.mem(node, v[0], false);
+                self.consumed(node, n.block, eaten);
+                self.emit_mem(node, &n, tag, r, lat);
             }
-            NodeKind::Store | NodeKind::StoreAdd => {
-                let addr = self.input(node, tag, 0);
-                let v = self.input(node, tag, 1);
-                if matches!(n.kind, NodeKind::Store) {
-                    self.mem.store(addr, v)?;
+            Op::Store | Op::StoreAdd => {
+                if matches!(n.op, Op::Store) {
+                    self.mem.store(v[0], v[1])?;
                 } else {
-                    self.mem.fetch_add(addr, v)?;
+                    self.mem.fetch_add(v[0], v[1])?;
                 }
                 // Output-less stores still occupy the cache and an MSHR.
-                let lat = self.core.mem(node.0, addr, true);
-                self.consume(node, tag, self.required[idx]);
-                if !n.outs.is_empty() {
-                    self.emit_mem(node, 0, tag, 0, lat);
+                let lat = self.core.mem(node, v[0], true);
+                self.consumed(node, n.block, eaten);
+                if n.n_outs > 0 {
+                    self.emit_mem(node, &n, tag, 0, lat);
                 }
             }
-            NodeKind::Steer => {
-                let d = self.input(node, tag, 0);
-                let v = self.input(node, tag, 1);
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, if d != 0 { 0 } else { 1 }, tag, v);
-                if n.outs.len() > 2 {
-                    self.emit(node, 2, tag, 0);
-                }
+            Op::Steer => {
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, if v[0] != 0 { 0 } else { 1 }, tag, v[1]);
+                self.emit(&n, 2, tag, 0);
             }
-            NodeKind::Merge => {
-                let present = self.store[idx].present(tag) & self.required[idx];
-                debug_assert_eq!(present.count_ones(), 1, "merge with multiple arrivals");
-                let port = present.trailing_zeros() as u16;
-                let v = self.input(node, tag, port);
-                self.consume(node, tag, present);
-                self.emit(node, 0, tag, v);
+            Op::Merge => {
+                debug_assert_eq!(eaten.count_ones(), 1, "merge with multiple arrivals");
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, v[eaten.trailing_zeros() as usize]);
             }
-            NodeKind::Join => {
-                let v = self.input(node, tag, 0);
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, v);
+            Op::Join => {
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, v[0]);
             }
-            NodeKind::Allocate { space, .. } => {
-                let space = *space;
+            Op::Allocate { space, .. } => {
                 let t_new = self.pop_tag(space);
-                if P::ENABLED {
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::TagAllocated { space: space.0, tag: t_new },
-                    );
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::BlockEnter { block: space.0, tag: t_new },
-                    );
-                }
-                let ready_present = self.store[idx].present(tag) & 0b10 != 0;
-                // Consume the request (port 0) and, if present, the ready
-                // (port 1, emitting the barrier control token).
-                self.consume(node, tag, 0b01);
-                if ready_present {
-                    self.consume(node, tag, 0b10);
-                    if n.outs.len() > 1 {
-                        self.emit(node, 1, tag, 0);
-                    }
+                self.core.event(ProbeEvent::TagAllocated { space: space.0, tag: t_new });
+                self.core.event(ProbeEvent::BlockEnter { block: space.0, tag: t_new });
+                self.consumed(node, n.block, eaten & 0b01);
+                if eaten & 0b10 != 0 {
+                    // The ready is consumed too, emitting the barrier
+                    // control token.
+                    self.consumed(node, n.block, 0b10);
+                    self.emit(&n, 1, tag, 0);
                 } else {
                     self.store[idx].or_flags(tag, AL_POPPED);
                 }
-                self.emit(node, 0, tag, t_new as Value);
+                self.emit(&n, 0, tag, t_new as Value);
             }
-            NodeKind::NewTag => {
-                let t_new = match &mut self.backend {
-                    Backend::Unbounded { next } => {
-                        let t = *next;
-                        *next += 1;
-                        t
-                    }
-                    // A bounded policy running an unbounded-elaboration
-                    // graph still hands out pool tags FCFS (without frees it
-                    // exhausts quickly — that is the point of Fig. 11's
-                    // companion discussion).
-                    _ => {
-                        let space = n.block;
-                        if !self.alloc_eligible(space, AllocKind::Call, true) {
-                            // Park as a pseudo-allocate request.
-                            self.park(space, node.0, tag);
-                            if P::ENABLED {
-                                self.core.probe.event(
-                                    self.core.cycle,
-                                    ProbeEvent::StallBegin {
-                                        node: node.0,
-                                        tag,
-                                        reason: StallReason::TagStarved,
-                                    },
-                                );
-                            }
-                            return Ok(());
-                        }
-                        self.pop_tag(space)
-                    }
-                };
-                if P::ENABLED {
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::TagAllocated { space: n.block.0, tag: t_new },
-                    );
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::BlockEnter { block: n.block.0, tag: t_new },
-                    );
-                }
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, t_new as Value);
+            Op::NewTag => {
+                let t_new = self.pop_tag(space);
+                self.core.event(ProbeEvent::TagAllocated { space: n.block, tag: t_new });
+                self.core.event(ProbeEvent::BlockEnter { block: n.block, tag: t_new });
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, t_new as Value);
             }
-            NodeKind::Free { space } => {
-                let space = *space;
-                self.consume(node, tag, self.required[idx]);
+            Op::Free { space } => {
+                self.consumed(node, n.block, eaten);
                 self.push_tag(space, tag);
-                if P::ENABLED {
-                    self.core
-                        .probe
-                        .event(self.core.cycle, ProbeEvent::TagFreed { space: space.0, tag });
-                    self.core
-                        .probe
-                        .event(self.core.cycle, ProbeEvent::BlockExit { block: space.0, tag });
-                }
+                self.core.event(ProbeEvent::TagFreed { space: space.0, tag });
+                self.core.event(ProbeEvent::BlockExit { block: space.0, tag });
                 if self.cfg.check_token_leaks {
                     self.scan_freed_tag(space, tag)?;
                 }
             }
-            NodeKind::ChangeTag => {
-                let t_new = self.input(node, tag, 0) as u64;
-                let v = self.input(node, tag, 1);
-                self.consume(node, tag, self.required[idx]);
-                if P::ENABLED {
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::TagChanged { node: node.0, from: tag, to: t_new },
-                    );
+            Op::ChangeTag | Op::ChangeTagDyn => {
+                let t_new = v[0] as u64;
+                self.consumed(node, n.block, eaten);
+                self.core.event(ProbeEvent::TagChanged { node, from: tag, to: t_new });
+                if matches!(n.op, Op::ChangeTag) {
+                    self.emit(&n, 0, t_new, v[1]);
+                } else {
+                    // The continuation is a dynamic `(instruction, operand)`
+                    // location, not a wire of the plan.
+                    let to = PortRef::decode(v[1]);
+                    self.core.event(ProbeEvent::TokenProduced { node: to.node.0 });
+                    self.emissions.push((to, t_new, v[2]));
+                    self.core.live += 1;
+                    self.occupancy.add(self.plan.nodes[to.node.0 as usize].block, 1);
                 }
-                self.emit(node, 0, t_new, v);
-                if n.outs.len() > 1 {
-                    self.emit(node, 1, tag, 0);
+                self.emit(&n, 1, tag, 0);
+            }
+            Op::ExtractTag => {
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, tag as Value);
+            }
+            Op::Const(c) => {
+                self.consumed(node, n.block, eaten);
+                self.emit(&n, 0, tag, c);
+            }
+            Op::Source => {
+                let ctl = n.n_outs - 1;
+                for k in 0..ctl {
+                    let arg = self.cfg.args.get(k as usize).copied().unwrap_or(0);
+                    self.emit(&n, k, tag, arg);
                 }
+                self.emit(&n, ctl, tag, 0);
             }
-            NodeKind::ChangeTagDyn => {
-                let t_new = self.input(node, tag, 0) as u64;
-                let target = PortRef::decode(self.input(node, tag, 1));
-                let v = self.input(node, tag, 2);
-                self.consume(node, tag, self.required[idx]);
-                if P::ENABLED {
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::TagChanged { node: node.0, from: tag, to: t_new },
-                    );
-                }
-                self.emit_to(target, t_new, v);
-                if n.outs.len() > 1 {
-                    self.emit(node, 1, tag, 0);
-                }
-            }
-            NodeKind::ExtractTag => {
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, tag as Value);
-            }
-            NodeKind::Const(c) => {
-                let c = *c;
-                self.consume(node, tag, self.required[idx]);
-                self.emit(node, 0, tag, c);
-            }
-            NodeKind::Source => {
-                let n_args = n.outs.len() - 1;
-                for k in 0..n_args {
-                    let v = self.cfg.args.get(k).copied().unwrap_or(0);
-                    self.emit(node, k as u16, tag, v);
-                }
-                self.emit(node, (n.outs.len() - 1) as u16, tag, 0);
-            }
-            NodeKind::Sink => {
-                let vals: Vec<Value> =
-                    (0..self.dfg.n_returns).map(|j| self.input(node, tag, j as u16)).collect();
-                self.consume(node, tag, self.required[idx]);
-                self.returns = Some(vals);
-            }
-            NodeKind::CMerge { .. } => {
-                unreachable!("CMerge only appears in ordered lowerings")
+            Op::Sink => {
+                self.consumed(node, n.block, eaten);
+                self.returns = Some(v[..self.dfg.n_returns].to_vec());
             }
         }
         Ok(())
     }
 
     fn deliver(&mut self, target: PortRef, tag: u64, val: Value) -> Result<(), SimError> {
-        let idx = target.node.0 as usize;
-        let bit = 1u64 << target.port;
-        let before = self.store[idx].present(tag);
-        if before & bit != 0 {
-            // The cardinal tagged-dataflow invariant (Theorem 2's premise):
-            // never two tokens on one input with the same tag.
-            return Err(SimError::TagOverflow { tag, space: usize::MAX });
+        let node = target.node.0;
+        let idx = node as usize;
+        let PlanNode { op, required, enqueue, .. } = self.plan.nodes[idx];
+        let (before, present) = self.store[idx].put(tag, target.port, val, enqueue)?;
+        let queued = present & !before & IN_QUEUE != 0;
+        if queued {
+            self.ready.push_back((node, tag));
         }
-        let present = self.store[idx].set(tag, target.port, val)?;
-
-        match &self.dfg.nodes[idx].kind {
-            NodeKind::Allocate { space, kind } => {
+        match op {
+            Op::Allocate { space, kind } => {
                 if target.port == 1 && present & AL_POPPED != 0 {
                     // Ready arrived after the pop: consumed without effect
                     // except the barrier control token (Sec. IV-A).
-                    self.store[idx].clear(tag, bit | AL_POPPED);
-                    self.core.live -= 1;
-                    self.block_live[self.dfg.nodes[idx].block.0 as usize] -= 1;
-                    if P::ENABLED {
-                        self.core.probe.event(
-                            self.core.cycle,
-                            ProbeEvent::TokenConsumed { node: target.node.0, count: 1 },
-                        );
-                    }
-                    if self.dfg.nodes[idx].outs.len() > 1 {
-                        self.emit(target.node, 1, tag, 0);
-                    }
+                    let n = self.plan.nodes[idx];
+                    self.store[idx].clear(tag, 0b10 | AL_POPPED);
+                    self.consumed(node, n.block, 0b10);
+                    self.emit(&n, 1, tag, 0);
                     return Ok(());
                 }
                 if present & IN_PENDING != 0 {
                     // Parked on tag pressure; a newly-arrived `ready` may
                     // lower the pop threshold (Sec. IV-A's "pop the last tag
                     // only for a ready context").
-                    if target.port == 1 && self.alloc_eligible(*space, *kind, true) {
+                    if target.port == 1 && self.alloc_eligible(space, kind, true) {
                         self.store[idx].clear(tag, IN_PENDING);
                         self.store[idx].or_flags(tag, IN_QUEUE);
-                        self.ready.push_back((target.node.0, tag));
-                        if P::ENABLED {
-                            self.core.probe.event(
-                                self.core.cycle,
-                                ProbeEvent::StallEnd { node: target.node.0, tag },
-                            );
-                        }
+                        self.ready.push_back((node, tag));
+                        self.core.event(ProbeEvent::StallEnd { node, tag });
                     }
                     return Ok(());
                 }
@@ -1234,74 +986,38 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 }
                 // Request present? Try to schedule.
                 if present & 0b01 != 0 {
-                    let ready = present & 0b10 != 0;
-                    if self.alloc_eligible(*space, *kind, ready) {
+                    if self.alloc_eligible(space, kind, present & 0b10 != 0) {
                         self.store[idx].or_flags(tag, IN_QUEUE);
-                        self.ready.push_back((target.node.0, tag));
-                        if P::ENABLED && before & 0b11 != 0 {
-                            self.core.probe.event(
-                                self.core.cycle,
-                                ProbeEvent::StallEnd { node: target.node.0, tag },
-                            );
+                        self.ready.push_back((node, tag));
+                        if before & 0b11 != 0 {
+                            self.core.event(ProbeEvent::StallEnd { node, tag });
                         }
                     } else {
-                        self.park(*space, target.node.0, tag);
-                        if P::ENABLED {
-                            // Switches any open partial-match interval to
-                            // tag starvation — the Fig. 11 attribution.
-                            self.core.probe.event(
-                                self.core.cycle,
-                                ProbeEvent::StallBegin {
-                                    node: target.node.0,
-                                    tag,
-                                    reason: StallReason::TagStarved,
-                                },
-                            );
-                        }
+                        // Parking switches any open partial-match interval
+                        // to tag starvation — the Fig. 11 attribution.
+                        self.starve(space, node, tag);
                     }
-                } else if P::ENABLED && before & 0b11 == 0 {
+                } else if before & 0b11 == 0 {
                     // First token of the allocate's input set (the `ready`
                     // arrived before the request): a partial-match wait.
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::StallBegin {
-                            node: target.node.0,
-                            tag,
-                            reason: StallReason::PartialMatch,
-                        },
-                    );
+                    let reason = StallReason::PartialMatch;
+                    self.core.event(ProbeEvent::StallBegin { node, tag, reason });
                 }
             }
-            NodeKind::Merge => {
-                if present & IN_QUEUE == 0 {
-                    self.store[idx].or_flags(tag, IN_QUEUE);
-                    self.ready.push_back((target.node.0, tag));
-                }
-            }
+            // Any arrival fires a merge; it never waits.
+            Op::Merge => {}
             _ => {
-                let req = self.required[idx];
-                if present & req == req && present & IN_QUEUE == 0 {
-                    self.store[idx].or_flags(tag, IN_QUEUE);
-                    self.ready.push_back((target.node.0, tag));
-                    if P::ENABLED && before & req != 0 {
+                if queued {
+                    if before & required != 0 {
                         // Earlier tokens of this set were waiting; the set
                         // just completed.
-                        self.core.probe.event(
-                            self.core.cycle,
-                            ProbeEvent::StallEnd { node: target.node.0, tag },
-                        );
+                        self.core.event(ProbeEvent::StallEnd { node, tag });
                     }
-                } else if P::ENABLED && before & req == 0 && present & IN_QUEUE == 0 {
+                } else if before & required == 0 && present & IN_QUEUE == 0 {
                     // First token of a multi-input set: the activation now
                     // waits for its partners.
-                    self.core.probe.event(
-                        self.core.cycle,
-                        ProbeEvent::StallBegin {
-                            node: target.node.0,
-                            tag,
-                            reason: StallReason::PartialMatch,
-                        },
-                    );
+                    let reason = StallReason::PartialMatch;
+                    self.core.event(ProbeEvent::StallBegin { node, tag, reason });
                 }
             }
         }
@@ -1313,6 +1029,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
 mod tests {
     use super::*;
     use tyr_dfg::lower::{lower_tagged, TaggingDiscipline};
+    use tyr_dfg::NodeId;
     use tyr_ir::build::ProgramBuilder;
     use tyr_ir::{interp, Program};
 
