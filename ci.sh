@@ -69,6 +69,11 @@ for engine in tyr ordered seqdf seqvn ooo; do
   target/release/repro --scale tiny --mem cached:l1=512,l2=4k,mshr=4 \
     locality dmv "$engine"
 done
+# With 1-cycle L1 hits a hit issued behind a miss is ready first; the
+# ordered engine must still deliver each load node's results in issue order
+# (a reordered response lands in the wrong iteration and fails the oracle).
+target/release/repro --scale tiny --mem cached:l1=512,l2=4k,mshr=4,lat1=1 \
+  locality dmv ordered
 # Shard gate (DESIGN.md §5.2): run `repro shard` on one kernel per engine
 # family that has a graph to cut — each run certifies a 4-shard plan
 # (P001-P004), attaches the crossing tracker, and exits nonzero on a
@@ -108,6 +113,13 @@ event_dir=$(mktemp -d)
 target/release/repro --scale tiny --jobs 2 fig12 > "$event_dir/fig12_event.txt"
 target/release/repro --scale tiny --jobs 2 --ticked fig12 > "$event_dir/fig12_ticked.txt"
 diff "$event_dir/fig12_event.txt" "$event_dir/fig12_ticked.txt"
+# The same pair at width 2, FIFO depth 2 and latency 200: the only gate
+# where the issue width actually cuts the ordered engine's ready list (in
+# node-index order) while most cycles are idle jumps.
+narrow="--scale tiny --jobs 2 --width 2 --queue 2 --mem ideal:200"
+target/release/repro $narrow fig12 > "$event_dir/fig12_narrow_event.txt"
+target/release/repro $narrow --ticked fig12 > "$event_dir/fig12_narrow_ticked.txt"
+diff "$event_dir/fig12_narrow_event.txt" "$event_dir/fig12_narrow_ticked.txt"
 target/release/repro fuzz --quick --jobs 2 > "$event_dir/fuzz_event.txt"
 target/release/repro --ticked fuzz --quick --jobs 2 > "$event_dir/fuzz_ticked.txt"
 diff "$event_dir/fuzz_event.txt" "$event_dir/fuzz_ticked.txt"

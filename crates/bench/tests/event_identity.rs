@@ -10,11 +10,21 @@
 //! The sweep covers ideal memory at three latencies *and* the two-level
 //! cache model: the jump clamp on outstanding MSHR fills must keep the
 //! event core exact under variable-latency misses too.
+//!
+//! The ordered engine gets a second, wider sweep — issue width, FIFO depth,
+//! memory model and a fault plan over generated programs and two kernels —
+//! because narrow widths are the only place its node-index issue order is
+//! observable.
 
 use tyr_bench::figures::Ctx;
+use tyr_bench::fuzz::{FUZZ_CYCLE_BUDGET, FUZZ_RECIPE_SIZE};
 use tyr_bench::timeline;
-use tyr_sim::{MemConfig, RunResult};
+use tyr_dfg::lower::lower_ordered;
+use tyr_ir::{MemoryImage, Program, Value};
+use tyr_sim::ordered::{OrderedConfig, OrderedEngine};
+use tyr_sim::{FaultKind, FaultPlan, MemConfig, RunResult, Watchdog};
 use tyr_stats::TimelineConfig;
+use tyr_workloads::gen::Recipe;
 use tyr_workloads::{by_name, Scale};
 
 /// Workload seed; any value works, fixed for reproducible failures.
@@ -103,4 +113,74 @@ fn engines_without_an_event_core_report_zero_skips() {
         let (r, _) = run_mode(engine, &MemConfig::ideal(1), true);
         assert_eq!(r.skipped_cycles, 0, "{engine} has no event core");
     }
+}
+
+#[test]
+fn ordered_runs_are_identical_across_modes_at_every_width_depth_and_memory_model() {
+    // The ordered engine issues from a cached ready set it updates only for
+    // nodes whose FIFOs changed; debug builds check that set against a scan
+    // of every node each cycle, so every run here also tests the marking
+    // rules. Widths 1 and 2 are what make the node-index cut-off bind: the
+    // default 128 (and the fuzzer's 64) never shortens a ready list on
+    // graphs this small. The stick fault rolls its victim in that same
+    // order, and a duplicated token drives FIFOs over capacity.
+    let mut cases: Vec<(String, Program, MemoryImage, Vec<Value>)> = (0..6)
+        .map(|seed| {
+            let c = Recipe::generate(seed, FUZZ_RECIPE_SIZE).materialize();
+            (format!("recipe {seed}"), c.program, c.memory, c.args)
+        })
+        .collect();
+    for name in ["dmv", "spmspv"] {
+        let w = by_name(name, Scale::Tiny, SEED).unwrap();
+        cases.push((name.to_string(), w.program, w.memory, w.args));
+    }
+    let mems = ["ideal:1", "ideal:200", "cached:l1=4k,l2=64k,mshr=8"]
+        .map(|m| MemConfig::parse(m).unwrap());
+    let plan = FaultPlan::new(SEED).with(FaultKind::NodeStick, 1).with(FaultKind::TokenDup, 2);
+    let mut injected = 0;
+
+    for (name, program, memory, args) in &cases {
+        let dfg = lower_ordered(program).unwrap();
+        for issue_width in [1, 2, 128] {
+            for queue_depth in [1, 2, 4] {
+                for mem in &mems {
+                    for faults in [None, Some(plan.clone())] {
+                        let what = format!(
+                            "{name}, width {issue_width}, depth {queue_depth}, faults {}",
+                            faults.is_some()
+                        );
+                        let run = |event_driven| {
+                            let cfg = OrderedConfig {
+                                issue_width,
+                                queue_depth,
+                                args: args.clone(),
+                                mem: mem.clone(),
+                                faults: faults.clone(),
+                                watchdog: Watchdog::none().with_cycle_budget(FUZZ_CYCLE_BUDGET),
+                                event_driven,
+                                ..OrderedConfig::default()
+                            };
+                            OrderedEngine::new(&dfg, memory.clone(), cfg)
+                                .run()
+                                .map_err(|e| e.to_string())
+                        };
+                        match (run(true), run(false)) {
+                            (Ok(event), Ok(ticked)) => {
+                                assert_identical(&what, mem, &event, &ticked);
+                                assert!(event.ipc.max_value() <= issue_width as u64, "{what}");
+                                if faults.is_none() {
+                                    assert!(event.is_complete(), "{what}: {:?}", event.outcome);
+                                }
+                                injected += event.faults.len();
+                            }
+                            (event, ticked) => {
+                                assert_eq!(event.err(), ticked.err(), "{what}: simulated fault")
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(injected > 0, "the fault plan never struck");
 }

@@ -11,10 +11,15 @@
 //! Readiness is evaluated against start-of-cycle state (synchronous
 //! hardware); a queue may transiently hold one token above its capacity
 //! within a cycle, and the producer stalls the next cycle.
+//!
+//! The simulator does not test every node every cycle: one bit per node
+//! caches `is_ready`, and only nodes at either end of a FIFO that was
+//! pushed to or popped from are re-evaluated (DESIGN.md §7.10), so a
+//! cycle costs what fired in it, not the size of the graph.
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{Dfg, InKind, NodeKind};
+use tyr_dfg::{Dfg, Edge, InKind, NodeKind};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
 
@@ -121,6 +126,100 @@ impl Default for OrderedConfig {
     }
 }
 
+/// The producer node(s) of every input FIFO, CSR-flat: the FIFO into input
+/// `port` of `node` is row `base[node] + port`, and its producers are
+/// `ids[off[row]..off[row + 1]]`. `lower_ordered` wires one producer per
+/// port; `GraphBuilder` allows several.
+struct Producers {
+    base: Vec<u32>,
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Producers {
+    fn new(dfg: &Dfg) -> Self {
+        let mut base = Vec::with_capacity(dfg.len());
+        let mut rows = 0u32;
+        for n in &dfg.nodes {
+            base.push(rows);
+            rows += n.ins.len() as u32;
+        }
+        let row = |e: &Edge| (base[e.to.0 as usize] + u32::from(e.to_port)) as usize;
+        // Count into `off[row + 2]` so the prefix sum leaves row `r`'s start
+        // in `off[r + 1]`; filling then advances that slot to the row's
+        // end — the start of row `r + 1` — and `off[r]` ends as the start.
+        let mut off = vec![0u32; rows as usize + 2];
+        for e in dfg.edges() {
+            off[row(&e) + 2] += 1;
+        }
+        for r in 2..off.len() {
+            off[r] += off[r - 1];
+        }
+        let mut ids = vec![0u32; off[rows as usize + 1] as usize];
+        for e in dfg.edges() {
+            let slot = &mut off[row(&e) + 1];
+            ids[*slot as usize] = e.from.0;
+            *slot += 1;
+        }
+        off.pop();
+        Producers { base, off, ids }
+    }
+
+    fn of(&self, node: usize, port: usize) -> &[u32] {
+        let row = self.base[node] as usize + port;
+        &self.ids[self.off[row] as usize..self.off[row + 1] as usize]
+    }
+}
+
+/// The activity-driven ready set (DESIGN.md §7.10): bit `i` caches
+/// `is_ready(i)`, and `touched` lists, without duplicates, the nodes whose
+/// readiness may have changed since the bits were last refreshed.
+struct ReadySet {
+    bits: Vec<u64>,
+    touched: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl ReadySet {
+    /// No bit set and every node touched, so the first refresh evaluates
+    /// them all.
+    fn new(nodes: usize) -> Self {
+        ReadySet {
+            bits: vec![0; nodes.div_ceil(64)],
+            touched: (0..nodes as u32).collect(),
+            marked: vec![true; nodes],
+        }
+    }
+
+    #[inline]
+    fn touch(&mut self, idx: u32) {
+        if !self.marked[idx as usize] {
+            self.marked[idx as usize] = true;
+            self.touched.push(idx);
+        }
+    }
+
+    fn get(&self, idx: usize) -> bool {
+        self.bits[idx / 64] >> (idx % 64) & 1 != 0
+    }
+
+    fn set(&mut self, idx: usize, ready: bool) {
+        let bit = 1u64 << (idx % 64);
+        if ready {
+            self.bits[idx / 64] |= bit;
+        } else {
+            self.bits[idx / 64] &= !bit;
+        }
+    }
+
+    fn clear_touched(&mut self) {
+        for &idx in &self.touched {
+            self.marked[idx as usize] = false;
+        }
+        self.touched.clear();
+    }
+}
+
 /// The ordered-dataflow engine.
 pub struct OrderedEngine<'a, P: Probe = NoProbe> {
     dfg: &'a Dfg,
@@ -136,6 +235,12 @@ pub struct OrderedEngine<'a, P: Probe = NoProbe> {
     /// `delayed[node] = (release_cycle, value)`.
     delayed: Vec<VecDeque<(u64, Value)>>,
     delayed_count: usize,
+    /// The `Load` nodes, ascending: the only nodes with a `delayed` queue.
+    loads: Vec<u32>,
+    producers: Producers,
+    ready: ReadySet,
+    /// This cycle's issue list, reused across cycles.
+    issue: Vec<u32>,
     fired_total: u64,
     returns: Option<Vec<Value>>,
     /// Clock, samplers, watchdog, fault state, memory port and probe.
@@ -219,19 +324,64 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             .collect();
         let mut core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
         core.live = live;
-        OrderedEngine {
+        let loads = (0..dfg.len() as u32)
+            .filter(|&i| matches!(dfg.nodes[i as usize].kind, NodeKind::Load))
+            .collect();
+        let mut engine = OrderedEngine {
             dfg,
             mem,
             cfg,
             caps,
             fifos,
             source_fired: false,
-            delayed: vec![VecDeque::new(); dfg.len()],
+            delayed: std::iter::repeat_with(VecDeque::new).take(dfg.len()).collect(),
             delayed_count: 0,
+            loads,
+            producers: Producers::new(dfg),
+            ready: ReadySet::new(dfg.len()),
+            issue: Vec::new(),
             fired_total: 0,
             returns: None,
             core,
             stall_state: if P::ENABLED { vec![None; dfg.len()] } else { Vec::new() },
+        };
+        // Every node stays touched through cycle 0, whose stall scan must
+        // cover the nodes that start out holding tokens.
+        engine.refresh_ready();
+        engine
+    }
+
+    /// Re-evaluates `is_ready` — the one definition of readiness — for the
+    /// touched nodes. Debug builds check the result against a scan of every
+    /// node, so a missed mark fails the first test that runs into it.
+    fn refresh_ready(&mut self) {
+        for k in 0..self.ready.touched.len() {
+            let idx = self.ready.touched[k] as usize;
+            let ready = self.is_ready(idx);
+            self.ready.set(idx, ready);
+        }
+        if cfg!(debug_assertions) {
+            for idx in 0..self.dfg.len() {
+                assert_eq!(
+                    self.ready.get(idx),
+                    self.is_ready(idx),
+                    "stale ready bit for '{}' after cycle {}",
+                    self.dfg.nodes[idx].label,
+                    self.core.cycle
+                );
+            }
+        }
+    }
+
+    /// Enqueues `val` on the FIFO into input `port` of `node`, marking the
+    /// consumer (an input gained a token) and the producers (an output lost
+    /// a slot).
+    fn enqueue(&mut self, node: usize, port: usize, val: Value) {
+        self.fifos[node][port].push_back(val);
+        self.core.live += 1;
+        self.ready.touch(node as u32);
+        for &p in self.producers.of(node, port) {
+            self.ready.touch(p);
         }
     }
 
@@ -318,14 +468,18 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         }
     }
 
-    /// Re-derives every node's stall reason against post-fire state and
-    /// emits `StallBegin`/`StallEnd` on transitions. A node holding tokens
+    /// Re-derives the stall reason of every touched node — a stall state is
+    /// a function of exactly the FIFOs whose changes mark a node — against
+    /// post-fire state, in ascending node order, and emits
+    /// `StallBegin`/`StallEnd` on transitions. A node holding tokens
     /// but not fireable is either back-pressured (a full downstream FIFO)
     /// or waiting on a partial input match (a starved FIFO); a node that
     /// can fire next cycle is not stalled. Ordered graphs are untagged, so
     /// stall intervals use tag 0.
     fn scan_stalls(&mut self) {
-        for idx in 0..self.dfg.len() {
+        self.ready.touched.sort_unstable();
+        for k in 0..self.ready.touched.len() {
+            let idx = self.ready.touched[k] as usize;
             if matches!(self.dfg.nodes[idx].kind, NodeKind::Source | NodeKind::Sink) {
                 continue;
             }
@@ -393,6 +547,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                         ProbeEvent::TokenConsumed { node: idx as u32, count: 1 },
                     );
                 }
+                // The FIFO gained a slot: its producers may be ready now.
+                for &p in self.producers.of(idx, port) {
+                    self.ready.touch(p);
+                }
                 self.fifos[idx][port].pop_front().expect("readiness checked")
             }
         }
@@ -405,6 +563,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         let dfg = self.dfg;
         for &t in &dfg.nodes[idx].outs[port] {
             let mut val = val;
+            let mut dup = None;
             if let Some(fs) = self.core.faults.as_mut() {
                 let (tn, label, port) = (t.node.0, &dfg.nodes[t.node.0 as usize].label, t.port);
                 let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
@@ -423,8 +582,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     }
                     // The extra token skews the edge's FIFO alignment for
                     // the rest of the run: a wrong answer or a wedge.
-                    self.fifos[tn as usize][port as usize].push_back(val);
-                    self.core.live += 1;
+                    dup = Some(val);
                 }
                 if fs.strike(cycle, FaultKind::TokenCorrupt) {
                     let before = val;
@@ -439,8 +597,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     .probe
                     .event(self.core.cycle, ProbeEvent::TokenProduced { node: t.node.0 });
             }
-            self.fifos[t.node.0 as usize][t.port as usize].push_back(val);
-            self.core.live += 1;
+            if let Some(extra) = dup {
+                self.enqueue(t.node.0 as usize, t.port as usize, extra);
+            }
+            self.enqueue(t.node.0 as usize, t.port as usize, val);
         }
     }
 
@@ -448,6 +608,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         // Match the node kind by reference (`kind.clone()` here used to
         // heap-allocate for every CMerge fire, whose kind owns a Vec).
         let dfg = self.dfg;
+        self.ready.touch(idx as u32);
         match &dfg.nodes[idx].kind {
             NodeKind::Alu(op) => {
                 let a = self.pop(idx, 0);
@@ -474,7 +635,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     fs.perturb_mem_response(probe, cycle, idx as u32, label, true, &mut v)
                 });
                 let lat = self.core.port.lookup(probe, cycle, idx as u32, addr, false);
-                if lat <= 1 && extra == 0 {
+                // A fast response bypasses the queue only when nothing
+                // issued earlier is still in it: results leave in issue order.
+                if lat <= 1 && extra == 0 && self.delayed[idx].is_empty() {
                     self.push_outputs(idx, 0, v);
                 } else {
                     self.core.live += 1; // in flight in the memory system
@@ -548,30 +711,32 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     fn run_loop(&mut self) -> End {
         loop {
             self.core.check_watchdog()?;
-            // Snapshot readiness against start-of-cycle state.
-            let mut ready: Vec<usize> = Vec::new();
-            for idx in 0..self.dfg.len() {
-                if ready.len() >= self.cfg.issue_width {
-                    break;
-                }
-                if self.is_ready(idx) {
+            // The ready bits are start-of-cycle state; walking them in
+            // ascending node index keeps the width cut-off and the order
+            // stick faults roll their victim in.
+            self.issue.clear();
+            'scan: for (w, &word) in self.ready.bits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    if self.issue.len() >= self.cfg.issue_width {
+                        break 'scan;
+                    }
+                    let idx = w as u32 * 64 + bits.trailing_zeros();
+                    bits &= bits - 1;
                     if let Some(fs) = self.core.faults.as_mut() {
-                        let label = &self.dfg.nodes[idx].label;
-                        if fs.stick(&mut self.core.probe, self.core.cycle, idx as u32, label) {
+                        let label = &self.dfg.nodes[idx as usize].label;
+                        if fs.stick(&mut self.core.probe, self.core.cycle, idx, label) {
                             continue;
                         }
                     }
-                    ready.push(idx);
+                    self.issue.push(idx);
                 }
             }
-            let fired = ready.len() as u64;
-            for idx in ready {
-                self.fire(idx)?;
-                if P::ENABLED {
-                    self.core
-                        .probe
-                        .event(self.core.cycle, ProbeEvent::NodeFired { node: idx as u32 });
-                }
+            let fired = self.issue.len() as u64;
+            for k in 0..self.issue.len() {
+                let node = self.issue[k];
+                self.fire(node as usize)?;
+                self.core.event(ProbeEvent::NodeFired { node });
             }
             // Release matured memory results — per load node, in issue
             // order, and only into FIFOs with space: the memory system
@@ -580,7 +745,8 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             // machine.
             let mut released = 0usize;
             if self.delayed_count > 0 {
-                for idx in 0..self.dfg.len() {
+                for k in 0..self.loads.len() {
+                    let idx = self.loads[k] as usize;
                     while let Some(&(r, _)) = self.delayed[idx].front() {
                         if r > self.core.cycle + 1 {
                             break;
@@ -603,6 +769,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             if P::ENABLED {
                 self.scan_stalls();
             }
+            // Nothing below moves a token, so the bits refreshed here are
+            // the next cycle's start-of-cycle state.
+            self.refresh_ready();
+            self.ready.clear_touched();
             self.fired_total += fired;
             self.core.tick(fired);
 
@@ -610,21 +780,6 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             // holds nor delivered anything this cycle (a release re-enables
             // consumers).
             if fired == 0 && released == 0 && self.delayed_count == 0 {
-                // Set TYR_ORDERED_DEBUG=1 to dump the tokens left in the
-                // machine at quiescence (normal runs leave only the loops'
-                // final control tokens).
-                if std::env::var_os("TYR_ORDERED_DEBUG").is_some() {
-                    for (i, qs) in self.fifos.iter().enumerate() {
-                        for (p, q) in qs.iter().enumerate() {
-                            if !q.is_empty() {
-                                eprintln!(
-                                    "[ordered] leftover: {} .i{p} holds {:?}",
-                                    self.dfg.nodes[i].label, q
-                                );
-                            }
-                        }
-                    }
-                }
                 // Quiescent. The sink's return tokens may arrive long before
                 // the last stores drain, so completion is only declared once
                 // nothing can fire anymore — and only if no node is wedged
@@ -657,9 +812,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             // ticked runs retry every cycle) are never jumped over.
             if self.cfg.event_driven && fired == 0 && released == 0 && self.delayed_count > 0 {
                 let next = self
-                    .delayed
+                    .loads
                     .iter()
-                    .filter_map(|q| q.front().map(|&(r, _)| r))
+                    .filter_map(|&i| self.delayed[i as usize].front().map(|&(r, _)| r))
                     .min()
                     .expect("delayed_count > 0");
                 self.core.idle_jump(next, u64::MAX, self.cfg.max_cycles)?;
@@ -802,6 +957,40 @@ mod stall_tests {
     }
 
     #[test]
+    fn a_push_by_one_producer_blocks_the_port_s_other_producers() {
+        // `GraphBuilder` lets two nodes feed one input port. At width 1 and
+        // depth 1, `a` fires alone and fills `c`'s FIFO, so `b` — marked
+        // only as a producer of the FIFO `a` pushed to — must stop being
+        // ready until `c` drains it.
+        let mut g = GraphBuilder::new();
+        let blk = g.add_block("main", None, false);
+        let src = g.add_node(NodeKind::Source, blk, vec![], 2, "src");
+        let a = g.add_node(NodeKind::Const(1), blk, vec![InKind::Wire], 1, "a");
+        let b = g.add_node(NodeKind::Const(2), blk, vec![InKind::Wire], 1, "b");
+        let c = g.add_node(
+            NodeKind::Select,
+            blk,
+            vec![InKind::Wire, InKind::Imm(7), InKind::Imm(9)],
+            1,
+            "c",
+        );
+        let sink = g.add_node(NodeKind::Sink, blk, vec![InKind::Wire], 0, "sink");
+        g.connect(src, 0, PortRef { node: a, port: 0 });
+        g.connect(src, 1, PortRef { node: b, port: 0 });
+        g.connect(a, 0, PortRef { node: c, port: 0 });
+        g.connect(b, 0, PortRef { node: c, port: 0 });
+        g.connect(c, 0, PortRef { node: sink, port: 0 });
+        let dfg = g.finish(src, sink, 1);
+        let cfg = OrderedConfig { issue_width: 1, queue_depth: 1, ..OrderedConfig::default() };
+        let r = OrderedEngine::new(&dfg, MemoryImage::new(), cfg).run().unwrap();
+        assert!(r.is_complete(), "{:?}", r.outcome);
+        assert_eq!(r.returns, vec![7]);
+        // src, a, c, b, sink, c: the sink takes one value and `c`'s second
+        // result is left in its FIFO.
+        assert_eq!(r.dyn_instrs(), 6);
+    }
+
+    #[test]
     fn capacity_override_resolves_per_edge() {
         let caps = ChannelCapacity::uniform(4).with_override(7, 0, 0).with_override(7, 1, 9);
         assert_eq!(caps.of(3, 0), 4);
@@ -931,7 +1120,7 @@ mod event_core_tests {
     use super::*;
     use tyr_dfg::lower::lower_ordered;
     use tyr_ir::build::ProgramBuilder;
-    use tyr_ir::Program;
+    use tyr_ir::{interp, Program};
 
     /// Load-to-store loop: shallow FIFOs plus long memory latency freeze
     /// the machine for most of every iteration.
@@ -1001,6 +1190,36 @@ mod event_core_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn load_results_leave_in_issue_order() {
+        // The per-edge FIFOs pair values by position, so a 1-cycle hit
+        // issued behind a miss, or a prompt response behind a delayed one,
+        // must wait its turn: overtaking lands it in the wrong iteration.
+        let (p, mem) = load_store_loop();
+        let mut want = mem.clone();
+        interp::run(&p, &mut want, &[]).unwrap();
+        let dfg = lower_ordered(&p).unwrap();
+        let run = |mem_cfg: MemConfig, faults: Option<FaultPlan>| {
+            let cfg = OrderedConfig { mem: mem_cfg, faults, ..OrderedConfig::default() };
+            OrderedEngine::new(&dfg, mem.clone(), cfg).run().unwrap()
+        };
+
+        let r = run(MemConfig::parse("cached:l1=512,l2=4k,mshr=4,lat1=1").unwrap(), None);
+        assert!(r.is_complete(), "fast L1: {:?}", r.outcome);
+        assert!(r.mem_hits() > 0 && r.mem_misses() > 0, "hits must trail misses");
+        assert_eq!(r.memory(), &want, "fast L1: memory image");
+
+        let mut delays = 0;
+        for seed in 0..8 {
+            let plan = FaultPlan::new(seed).with(FaultKind::MemDelay, 3);
+            let r = run(MemConfig::ideal(1), Some(plan));
+            assert!(r.is_complete(), "seed {seed}: {:?}", r.outcome);
+            assert_eq!(r.memory(), &want, "seed {seed}: a delay must be absorbed");
+            delays += r.faults.len();
+        }
+        assert!(delays > 0, "no seed delayed a response");
     }
 
     #[test]
