@@ -16,6 +16,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --offline --workspace --release
 cargo test --offline --workspace -q
+# The no-tree pin, by name and optimized, so no filter can drop it:
+# `ChromeTrace::validate` may allocate under 64 KiB on a 12 MB trace.
+cargo test --offline --release -q -p tyr-stats --test validate_alloc
 # The pinned benchmark crate must keep building against the harness API, and
 # its parity check compares the public launch calls (`run_system`,
 # `LoweredWorkload`, `run_probed`, `fuzz::run_engine`) with the same runs
@@ -35,6 +38,9 @@ for engine in tyr tagged-global-bounded ordered seqdf seqvn ooo; do
   target/release/repro --scale tiny --out "$trace_dir/dmv_$engine.json" \
     trace dmv "$engine"
 done
+# The tiny documents are under 1 MB; this one is 96 MB — the size at which
+# the validator's speed and memory decide what the command costs.
+target/release/repro --scale small --out "$trace_dir/tc_tyr.json" trace tc tyr
 rm -rf "$trace_dir"
 # Timeline gate (DESIGN.md §6): run `repro timeline` on one kernel per
 # engine family — each run attaches the cycle-windowed sink plus the JSONL
@@ -97,6 +103,15 @@ target/release/repro bench --quick --jobs 2 --out "$bench_dir/BENCH_quick.json"
 target/release/repro bench-check "$bench_dir/BENCH_quick.json"
 rm -rf "$bench_dir"
 target/release/repro bench-check --sim-exact BENCH_suite.json
+# A hostile file is a typed error, not a stack overflow: two million `[`
+# must exit 1 naming the reader's nesting limit.
+bench_dir=$(mktemp -d)
+head -c 2000000 /dev/zero | tr '\0' '[' > "$bench_dir/deep.json"
+deep_rc=0
+target/release/repro bench-check "$bench_dir/deep.json" 2> "$bench_dir/deep.err" || deep_rc=$?
+[ "$deep_rc" -eq 1 ]
+grep -q 'nesting deeper than 128' "$bench_dir/deep.err"
+rm -rf "$bench_dir"
 # Robustness gate (DESIGN.md §9): 25-seed differential + chaos smoke sweep.
 # Exits nonzero on any cross-engine disagreement (shrunk witness printed),
 # any never-injected or never-detected fault class, or a mem-delay that

@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use crate::json::{self, Json};
+use crate::json::{self, uint, Kind, Parser};
 
 /// Why a node cannot make progress right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -458,8 +458,9 @@ impl Probe for CountingProbe {
 
 /// Serialized Chrome-trace events beyond this count are dropped (with
 /// `otherData.truncated = true`) so a paper-scale run cannot write an
-/// unboundedly large file. Kind counts keep counting past the cap.
-const MAX_TRACE_EVENTS: usize = 1_000_000;
+/// unboundedly large file. Kind counts keep counting past the cap. Lowered
+/// under test so a unit test can cross it.
+const MAX_TRACE_EVENTS: usize = if cfg!(test) { 256 } else { 1_000_000 };
 
 /// Sampling stride (in cycles) for the machine-wide tokens-in-flight and
 /// live-tags counter tracks — one sample per window, matching the default
@@ -474,6 +475,15 @@ struct FireRun {
     count: u64,
 }
 
+/// The slot for dense id `id`, growing `v` with defaults to reach it.
+fn slot<T: Default + Clone>(v: &mut Vec<T>, id: u32) -> &mut T {
+    let id = id as usize;
+    if id >= v.len() {
+        v.resize(id + 1, T::default());
+    }
+    &mut v[id]
+}
+
 /// Chrome-trace / Perfetto JSON exporter.
 ///
 /// Mapping: concurrent blocks → processes (`pid`), nodes → threads (`tid`),
@@ -485,15 +495,21 @@ struct FireRun {
 /// 64-cycle timeline window so Perfetto shows the same curves as
 /// `repro timeline`. Use [`ChromeTrace::render`] after the run to get the
 /// JSON document.
+///
+/// Records are written straight into two comma-joined buffers (`meta` for
+/// the declarations, `events` for the run's records, up to a million of
+/// them), and the per-node and per-block state is indexed by the dense
+/// ids `declare_*` hands out.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    meta: Vec<String>,
-    events: Vec<String>,
-    node_block: HashMap<u32, u32>,
-    fires: HashMap<u32, FireRun>,
+    meta: String,
+    events: String,
+    recorded: usize,
+    node_block: Vec<u32>,
+    fires: Vec<Option<FireRun>>,
     open_stalls: HashMap<(u32, u64), (u64, u64, StallReason)>,
     next_async_id: u64,
-    block_live: HashMap<u32, i64>,
+    block_live: Vec<i64>,
     dirty_blocks: Vec<u32>,
     counter_cycle: u64,
     global_inflight: i64,
@@ -514,33 +530,71 @@ impl ChromeTrace {
         self.kind_counts[kind.index()]
     }
 
-    fn push(&mut self, ev: String) {
-        if self.events.len() < MAX_TRACE_EVENTS {
-            self.events.push(ev);
-        } else {
+    /// Starts the next record: the buffer to write it into, or `None` (and
+    /// one more `dropped`) past the cap.
+    fn record(&mut self) -> Option<&mut String> {
+        if self.recorded == MAX_TRACE_EVENTS {
             self.dropped += 1;
+            return None;
         }
+        if self.recorded > 0 {
+            self.events.push(',');
+        }
+        self.recorded += 1;
+        Some(&mut self.events)
+    }
+
+    fn pid_of(&self, node: u32) -> u32 {
+        self.node_block.get(node as usize).copied().unwrap_or(0)
+    }
+
+    fn declare(&mut self, what: &str, pid: u32, tid: u32, label: &str) {
+        let b = &mut self.meta;
+        if !b.is_empty() {
+            b.push(',');
+        }
+        b.push_str("{\"ph\":\"M\",\"name\":\"");
+        b.push_str(what);
+        uint(b, "\",\"pid\":", pid.into());
+        uint(b, ",\"tid\":", tid.into());
+        b.push_str(",\"args\":{\"name\":");
+        json::write_str(b, label);
+        b.push_str("}}");
     }
 
     fn flush_fire(&mut self, node: u32, run: FireRun) {
-        let pid = self.node_block.get(&node).copied().unwrap_or(0);
-        let dur = run.last - run.start + 1;
-        self.push(format!(
-            "{{\"ph\":\"X\",\"cat\":\"fired\",\"name\":\"fire\",\"pid\":{pid},\"tid\":{node},\
-             \"ts\":{},\"dur\":{dur},\"args\":{{\"fires\":{}}}}}",
-            run.start, run.count
-        ));
+        let pid = self.pid_of(node);
+        if let Some(b) = self.record() {
+            uint(b, "{\"ph\":\"X\",\"cat\":\"fired\",\"name\":\"fire\",\"pid\":", pid.into());
+            uint(b, ",\"tid\":", node.into());
+            uint(b, ",\"ts\":", run.start);
+            uint(b, ",\"dur\":", run.last - run.start + 1);
+            uint(b, ",\"args\":{\"fires\":", run.count);
+            b.push_str("}}");
+        }
+    }
+
+    /// One sample of counter track `name` of process `pid`.
+    fn counter(&mut self, name: &str, pid: u32, cycle: u64, series: &str, value: i64) {
+        if let Some(b) = self.record() {
+            b.push_str("{\"ph\":\"C\",\"name\":\"");
+            b.push_str(name);
+            uint(b, "\",\"pid\":", pid.into());
+            uint(b, ",\"tid\":0,\"ts\":", cycle);
+            b.push_str(",\"args\":{\"");
+            b.push_str(series);
+            b.push_str("\":");
+            json::write_i64(b, value);
+            b.push_str("}}");
+        }
     }
 
     fn flush_counters(&mut self) {
         let cycle = self.counter_cycle;
         let mut blocks = std::mem::take(&mut self.dirty_blocks);
         for block in blocks.drain(..) {
-            let live = self.block_live.get(&block).copied().unwrap_or(0);
-            self.push(format!(
-                "{{\"ph\":\"C\",\"name\":\"live tokens\",\"pid\":{block},\"tid\":0,\
-                 \"ts\":{cycle},\"args\":{{\"tokens\":{live}}}}}"
-            ));
+            let live = self.block_live[block as usize];
+            self.counter("live tokens", block, cycle, "tokens", live);
         }
         self.dirty_blocks = blocks;
     }
@@ -561,31 +615,39 @@ impl ChromeTrace {
     }
 
     fn sample_globals(&mut self, cycle: u64) {
-        let tokens = self.global_inflight;
-        let tags = self.live_tags;
-        self.push(format!(
-            "{{\"ph\":\"C\",\"name\":\"tokens in flight\",\"pid\":0,\"tid\":0,\
-             \"ts\":{cycle},\"args\":{{\"tokens\":{tokens}}}}}"
-        ));
-        self.push(format!(
-            "{{\"ph\":\"C\",\"name\":\"live tags\",\"pid\":0,\"tid\":0,\
-             \"ts\":{cycle},\"args\":{{\"tags\":{tags}}}}}"
-        ));
+        self.counter("tokens in flight", 0, cycle, "tokens", self.global_inflight);
+        self.counter("live tags", 0, cycle, "tags", self.live_tags);
         self.next_global_sample = (cycle / GLOBAL_COUNTER_WINDOW + 1) * GLOBAL_COUNTER_WINDOW;
     }
 
-    fn touch_block(&mut self, block: u32, delta: i64) {
-        *self.block_live.entry(block).or_insert(0) += delta;
+    fn touch_block(&mut self, node: u32, delta: i64) {
+        let block = self.pid_of(node);
+        *slot(&mut self.block_live, block) += delta;
         if !self.dirty_blocks.contains(&block) {
             self.dirty_blocks.push(block);
         }
     }
 
-    fn instant(&mut self, cycle: u64, cat: &str, name: &str, pid: u32, args: &str) {
-        self.push(format!(
-            "{{\"ph\":\"i\",\"cat\":\"{cat}\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":0,\
-             \"ts\":{cycle},\"s\":\"p\",\"args\":{args}}}"
-        ));
+    /// An instant event; `args` writes the members of its `args` object.
+    fn instant(
+        &mut self,
+        cycle: u64,
+        cat: &str,
+        name: &str,
+        pid: u32,
+        args: impl FnOnce(&mut String),
+    ) {
+        if let Some(b) = self.record() {
+            b.push_str("{\"ph\":\"i\",\"cat\":\"");
+            b.push_str(cat);
+            b.push_str("\",\"name\":\"");
+            b.push_str(name);
+            uint(b, "\",\"pid\":", pid.into());
+            uint(b, ",\"tid\":0,\"ts\":", cycle);
+            b.push_str(",\"s\":\"p\",\"args\":{");
+            args(b);
+            b.push_str("}}");
+        }
     }
 
     fn open_stall(&mut self, cycle: u64, node: u32, tag: u64, reason: StallReason) {
@@ -597,31 +659,35 @@ impl ChromeTrace {
 
     fn close_stall(&mut self, cycle: u64, node: u32, tag: u64) {
         if let Some((id, start, reason)) = self.open_stalls.remove(&(node, tag)) {
-            let pid = self.node_block.get(&node).copied().unwrap_or(0);
-            let end = cycle.max(start);
-            self.push(format!(
-                "{{\"ph\":\"b\",\"cat\":\"stall\",\"id\":{id},\"name\":\"{}\",\"pid\":{pid},\
-                 \"tid\":{node},\"ts\":{start},\"args\":{{\"tag\":{tag}}}}}",
-                reason.label()
-            ));
-            self.push(format!(
-                "{{\"ph\":\"e\",\"cat\":\"stall\",\"id\":{id},\"name\":\"{}\",\"pid\":{pid},\
-                 \"tid\":{node},\"ts\":{end}}}",
-                reason.label()
-            ));
+            let pid = self.pid_of(node);
+            // The begin edge carries the tag; the end edge has no args.
+            for (ph, ts, tag) in [("b", start, Some(tag)), ("e", cycle.max(start), None)] {
+                if let Some(b) = self.record() {
+                    b.push_str("{\"ph\":\"");
+                    b.push_str(ph);
+                    uint(b, "\",\"cat\":\"stall\",\"id\":", id);
+                    b.push_str(",\"name\":\"");
+                    b.push_str(reason.label());
+                    uint(b, "\",\"pid\":", pid.into());
+                    uint(b, ",\"tid\":", node.into());
+                    uint(b, ",\"ts\":", ts);
+                    if let Some(tag) = tag {
+                        uint(b, ",\"args\":{\"tag\":", tag);
+                        b.push('}');
+                    }
+                    b.push('}');
+                }
+            }
         }
     }
 
     /// Closes open fire runs, stall intervals, and counters at `final_cycle`
     /// and returns the complete JSON document.
     pub fn render(mut self, final_cycle: u64) -> String {
-        let fires: Vec<(u32, FireRun)> = {
-            let mut v: Vec<_> = self.fires.drain().collect();
-            v.sort_by_key(|(n, _)| *n);
-            v
-        };
-        for (node, run) in fires {
-            self.flush_fire(node, run);
+        for (node, run) in std::mem::take(&mut self.fires).into_iter().enumerate() {
+            if let Some(run) = run {
+                self.flush_fire(node as u32, run);
+            }
         }
         let open: Vec<(u32, u64)> = {
             let mut v: Vec<_> = self.open_stalls.keys().copied().collect();
@@ -636,38 +702,285 @@ impl ChromeTrace {
         self.backfill_globals(final_cycle);
         self.sample_globals(final_cycle);
 
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, ev) in self.meta.iter().chain(self.events.iter()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(ev);
+        let mut head = String::from("{\"traceEvents\":[");
+        head.push_str(&self.meta);
+        if !self.meta.is_empty() && self.recorded > 0 {
+            head.push(',');
         }
+        // The document is the event buffer itself, with the head moved in
+        // front: no second copy of a trace that can be hundreds of MB.
+        let mut out = self.events;
+        out.insert_str(0, &head);
         out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"tool\":\"tyr repro trace\",");
-        out.push_str(&format!(
-            "\"finalCycle\":{final_cycle},\"truncated\":{},\"dropped\":{},",
-            self.dropped > 0,
-            self.dropped
-        ));
-        out.push_str("\"eventKinds\":{");
+        uint(&mut out, "\"finalCycle\":", final_cycle);
+        out.push_str(if self.dropped > 0 { ",\"truncated\":true" } else { ",\"truncated\":false" });
+        uint(&mut out, ",\"dropped\":", self.dropped);
+        out.push_str(",\"eventKinds\":{");
         for (i, kind) in EventKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", kind.name(), self.kind_counts[kind.index()]));
+            out.push_str(if i > 0 { ",\"" } else { "\"" });
+            out.push_str(kind.name());
+            uint(&mut out, "\":", self.kind_counts[kind.index()]);
         }
         out.push_str("}}}");
         out
     }
 
-    /// Structural validation of an emitted trace document: parses the JSON,
-    /// checks the `traceEvents` array is well-formed, and returns the
+    /// Structural validation of an emitted trace document: checks the JSON
+    /// syntax, that the `traceEvents` array is well-formed, and returns the
     /// per-kind event counts recorded in `otherData.eventKinds`.
+    ///
+    /// One pass over the text with a few flags of state per event — no
+    /// tree. As with [`crate::json::Json::get`], the first occurrence of a key
+    /// decides.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem found.
+    /// Returns a description of the first problem found. A malformed event
+    /// is reported where it stands, so a syntax error *after* it goes
+    /// unseen.
     pub fn validate(text: &str) -> Result<HashMap<String, u64>, String> {
+        let mut events_seen = false;
+        let mut other_seen = false;
+        let mut kinds: Option<Result<HashMap<String, u64>, &str>> = None;
+        let mut ph = String::new();
+        Parser::document(text, |p| {
+            if p.kind()? != Kind::Obj {
+                return p.skip();
+            }
+            p.object(|p, key| match key {
+                "traceEvents" if !events_seen => {
+                    events_seen = true;
+                    if p.kind()? != Kind::Arr {
+                        return Err("missing traceEvents array".into());
+                    }
+                    let mut count = 0;
+                    p.array(|p, i| {
+                        count += 1;
+                        EventKeys::read(p, &mut ph)?.check(i, &ph)
+                    })?;
+                    if count == 0 {
+                        return Err("traceEvents is empty".into());
+                    }
+                    Ok(())
+                }
+                // A problem here is reported only once the events, which
+                // may come later in the text, have passed.
+                "otherData" if !other_seen => {
+                    other_seen = true;
+                    if p.kind()? != Kind::Obj {
+                        return p.skip();
+                    }
+                    let mut kinds_seen = false;
+                    p.object(|p, key| {
+                        if key != "eventKinds" || kinds_seen {
+                            return p.skip();
+                        }
+                        kinds_seen = true;
+                        if p.kind()? != Kind::Obj {
+                            return p.skip();
+                        }
+                        let mut counts = HashMap::new();
+                        let mut numeric = true;
+                        p.object(|p, kind| {
+                            if p.kind()? != Kind::Num {
+                                numeric = false;
+                                return p.skip();
+                            }
+                            counts.insert(kind.to_string(), p.number()? as u64);
+                            Ok(())
+                        })?;
+                        kinds =
+                            Some(if numeric { Ok(counts) } else { Err("non-numeric kind count") });
+                        Ok(())
+                    })
+                }
+                _ => p.skip(),
+            })
+        })?;
+        if !events_seen {
+            return Err("missing traceEvents array".into());
+        }
+        Ok(kinds.ok_or("missing otherData.eventKinds")??)
+    }
+}
+
+/// What [`ChromeTrace::validate`] keeps of one event: for each key it
+/// checks, whether the first occurrence had the right type (`None`: no
+/// such key), and whether `args` held a numeric member.
+#[derive(Default)]
+struct EventKeys {
+    ph: Option<bool>,
+    name: Option<bool>,
+    ts: Option<bool>,
+    args: Option<bool>,
+    numeric_arg: bool,
+}
+
+impl EventKeys {
+    /// Consumes one element of `traceEvents`, leaving its phase in `ph`.
+    fn read(p: &mut Parser<'_>, ph: &mut String) -> Result<Self, String> {
+        let mut ev = EventKeys::default();
+        ph.clear();
+        if p.kind()? != Kind::Obj {
+            p.skip()?;
+            return Ok(ev);
+        }
+        p.object(|p, key| {
+            let kind = p.kind()?;
+            match key {
+                "ph" if ev.ph.is_none() => {
+                    ev.ph = Some(kind == Kind::Str);
+                    if kind == Kind::Str {
+                        return p.string(Some(ph));
+                    }
+                }
+                "name" if ev.name.is_none() => ev.name = Some(kind == Kind::Str),
+                "ts" if ev.ts.is_none() => ev.ts = Some(kind == Kind::Num),
+                "args" if ev.args.is_none() => {
+                    ev.args = Some(kind == Kind::Obj);
+                    if kind == Kind::Obj {
+                        return p.object(|p, _| {
+                            ev.numeric_arg |= p.kind()? == Kind::Num;
+                            p.skip()
+                        });
+                    }
+                }
+                _ => {}
+            }
+            p.skip()
+        })?;
+        Ok(ev)
+    }
+
+    /// The checks on event `i`, in the order their messages take priority.
+    fn check(&self, i: usize, ph: &str) -> Result<(), String> {
+        if self.ph != Some(true) {
+            return Err(format!("event {i} has no ph"));
+        }
+        if !matches!(ph, "X" | "b" | "e" | "i" | "C" | "M") {
+            return Err(format!("event {i} has unknown phase {ph:?}"));
+        }
+        if self.name != Some(true) {
+            return Err(format!("event {i} has no name"));
+        }
+        if ph != "M" && self.ts != Some(true) {
+            return Err(format!("event {i} ({ph}) has no ts"));
+        }
+        if ph == "C" {
+            if self.args != Some(true) {
+                return Err(format!("counter event {i} has no args object"));
+            }
+            if !self.numeric_arg {
+                return Err(format!("counter event {i} has no numeric series"));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Probe for ChromeTrace {
+    fn declare_block(&mut self, block: u32, name: &str) {
+        self.declare("process_name", block, 0, name);
+    }
+
+    fn declare_node(&mut self, node: u32, label: &str, block: u32) {
+        *slot(&mut self.node_block, node) = block;
+        self.declare("thread_name", block, node, label);
+    }
+
+    fn event(&mut self, cycle: u64, ev: ProbeEvent) {
+        self.kind_counts[ev.kind().index()] += 1;
+        if cycle > self.counter_cycle {
+            self.flush_counters();
+            self.counter_cycle = cycle;
+        }
+        self.backfill_globals(cycle);
+        match ev {
+            ProbeEvent::TokenProduced { .. } => self.global_inflight += 1,
+            ProbeEvent::TokenConsumed { count, .. } => self.global_inflight -= count as i64,
+            ProbeEvent::TagAllocated { .. } => self.live_tags += 1,
+            ProbeEvent::TagFreed { .. } => self.live_tags -= 1,
+            _ => {}
+        }
+        if cycle >= self.next_global_sample {
+            self.sample_globals(cycle);
+        }
+        let tag_arg = |tag: u64| move |b: &mut String| uint(b, "\"tag\":", tag);
+        let mem_args = |node: u32, addr: i64| {
+            move |b: &mut String| {
+                uint(b, "\"node\":", node.into());
+                b.push_str(",\"addr\":");
+                json::write_i64(b, addr);
+            }
+        };
+        match ev {
+            ProbeEvent::NodeFired { node } => {
+                let fresh = FireRun { start: cycle, last: cycle, count: 1 };
+                match slot(&mut self.fires, node) {
+                    Some(run) if cycle == run.last || cycle == run.last + 1 => {
+                        run.last = cycle;
+                        run.count += 1;
+                    }
+                    run => {
+                        if let Some(done) = run.replace(fresh) {
+                            self.flush_fire(node, done);
+                        }
+                    }
+                }
+            }
+            ProbeEvent::TokenProduced { node } => self.touch_block(node, 1),
+            ProbeEvent::TokenConsumed { node, count } => self.touch_block(node, -(count as i64)),
+            ProbeEvent::TagAllocated { space, tag } => {
+                self.instant(cycle, "tag", "allocate", space, tag_arg(tag));
+            }
+            ProbeEvent::TagFreed { space, tag } => {
+                self.instant(cycle, "tag", "free", space, tag_arg(tag));
+            }
+            ProbeEvent::TagChanged { node, from, to } => {
+                self.instant(cycle, "tag", "changeTag", self.pid_of(node), |b| {
+                    uint(b, "\"node\":", node.into());
+                    uint(b, ",\"from\":", from);
+                    uint(b, ",\"to\":", to);
+                });
+            }
+            ProbeEvent::BlockEnter { block, tag } => {
+                self.instant(cycle, "block", "enter", block, tag_arg(tag));
+            }
+            ProbeEvent::BlockExit { block, tag } => {
+                self.instant(cycle, "block", "exit", block, tag_arg(tag));
+            }
+            ProbeEvent::StallBegin { node, tag, reason } => {
+                self.open_stall(cycle, node, tag, reason);
+            }
+            ProbeEvent::StallEnd { node, tag } => {
+                self.close_stall(cycle, node, tag);
+            }
+            ProbeEvent::FaultInjected { node, kind } => {
+                self.instant(cycle, "fault", kind.label(), self.pid_of(node), |b| {
+                    uint(b, "\"node\":", node.into());
+                });
+            }
+            ProbeEvent::MemAccess { node, addr, write } => {
+                let name = if write { "store" } else { "load" };
+                self.instant(cycle, "mem", name, self.pid_of(node), mem_args(node, addr));
+            }
+            ProbeEvent::MemMiss { node, addr, l2 } => {
+                let name = if l2 { "missL2" } else { "missL1" };
+                self.instant(cycle, "mem", name, self.pid_of(node), mem_args(node, addr));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::Json;
+
+    /// The validator as it was before it streamed: build the tree, then
+    /// look the keys up. Kept as the reference [`ChromeTrace::validate`]
+    /// must agree with, verdict for verdict.
+    fn validate_tree(text: &str) -> Result<HashMap<String, u64>, String> {
         let doc = Json::parse(text)?;
         let events =
             doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?;
@@ -709,127 +1022,173 @@ impl ChromeTrace {
         }
         Ok(out)
     }
-}
 
-impl Probe for ChromeTrace {
-    fn declare_block(&mut self, block: u32, name: &str) {
-        let mut label = String::new();
-        json::write_str(&mut label, name);
-        self.meta.push(format!(
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{block},\"tid\":0,\
-             \"args\":{{\"name\":{label}}}}}"
+    /// A value of a type `v` is not.
+    fn mistyped(v: &Json) -> Json {
+        match v {
+            Json::Str(_) => Json::Num(7.0),
+            _ => Json::Str("7".into()),
+        }
+    }
+
+    /// `doc` with member `key` of its top-level object replaced by `f`'s
+    /// result (`None` removes it).
+    fn with_member(doc: &Json, key: &str, f: impl Fn(&Json) -> Option<Json>) -> Json {
+        let pairs = doc.as_obj().unwrap().iter();
+        Json::Obj(
+            pairs
+                .filter_map(|(k, v)| {
+                    if k == key { f(v) } else { Some(v.clone()) }.map(|v| (k.clone(), v))
+                })
+                .collect(),
+        )
+    }
+
+    /// Every document the two validators are compared on: the sample, and
+    /// for one event of each phase every one-key mutation of it, plus the
+    /// mutations of the document's own members.
+    fn corpus() -> Vec<String> {
+        let doc = Json::parse(&sample_trace()).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let mut docs = vec![doc.clone()];
+        let mut with_event = |i: usize, ev: Json| {
+            docs.push(with_member(&doc, "traceEvents", |evs| {
+                let mut evs = evs.as_arr().unwrap().to_vec();
+                evs[i] = ev.clone();
+                Some(Json::Arr(evs))
+            }));
+        };
+        for ph in ["M", "X", "b", "e", "i", "C"] {
+            let (i, ev) = events
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .unwrap_or_else(|| panic!("the sample has no {ph} event"));
+            for key in ["ph", "name", "ts", "args"] {
+                let Some(v) = ev.get(key) else { continue };
+                with_event(i, with_member(ev, key, |_| None));
+                with_event(i, with_member(ev, key, |v| Some(mistyped(v))));
+                let mut twice = ev.as_obj().unwrap().to_vec();
+                twice.push((key.into(), mistyped(v)));
+                with_event(i, Json::Obj(twice.clone()));
+                twice.rotate_right(1);
+                with_event(i, Json::Obj(twice));
+            }
+            with_event(i, with_member(ev, "ph", |_| Some(json::str("Q"))));
+            with_event(i, with_member(ev, "args", |_| Some(Json::Obj(vec![]))));
+            with_event(
+                i,
+                with_member(ev, "args", |_| Some(Json::Obj(vec![("s".into(), json::str("3"))]))),
+            );
+            with_event(i, json::num(3));
+            with_event(i, Json::Null);
+        }
+
+        let mut swapped = doc.as_obj().unwrap().to_vec();
+        swapped.reverse();
+        docs.push(Json::Obj(swapped.clone()));
+        // Reversed *and* wrong in both halves: the event's message wins.
+        let bad_kinds = |o: &Json| {
+            Some(with_member(o, "eventKinds", |k| {
+                Some(with_member(k, "fired", |_| Some(json::str("2"))))
+            }))
+        };
+        docs.push(with_member(&doc, "otherData", bad_kinds));
+        docs.push(with_member(
+            &with_member(&Json::Obj(swapped), "otherData", bad_kinds),
+            "traceEvents",
+            |_| Some(Json::Arr(vec![json::num(1)])),
         ));
+        for key in ["traceEvents", "otherData"] {
+            docs.push(with_member(&doc, key, |_| None));
+            docs.push(with_member(&doc, key, |_| Some(json::num(1))));
+            docs.push(with_member(&doc, key, |_| Some(Json::Arr(vec![]))));
+            // Duplicated with the wrong type second, then first.
+            let mut twice = doc.as_obj().unwrap().to_vec();
+            twice.push((key.into(), json::num(1)));
+            docs.push(Json::Obj(twice.clone()));
+            twice.rotate_right(1);
+            docs.push(Json::Obj(twice));
+        }
+        docs.push(with_member(&doc, "otherData", |o| Some(with_member(o, "eventKinds", |_| None))));
+        docs.push(with_member(&doc, "otherData", |o| {
+            Some(with_member(o, "eventKinds", |_| Some(json::num(1))))
+        }));
+        docs.push(json::num(1));
+        docs.push(Json::Arr(vec![]));
+
+        let mut texts: Vec<String> = docs.iter().map(Json::render).collect();
+        let good = sample_trace();
+        texts.push(good[..good.len() / 2].to_string());
+        texts.push(format!("{good} x"));
+        let leading_zero = good.replacen("\"ts\":1,", "\"ts\":01,", 1);
+        assert_ne!(leading_zero, good);
+        texts.push(leading_zero);
+        texts.push(String::new());
+        texts
     }
 
-    fn declare_node(&mut self, node: u32, label: &str, block: u32) {
-        self.node_block.insert(node, block);
-        let mut name = String::new();
-        json::write_str(&mut name, label);
-        self.meta.push(format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{block},\"tid\":{node},\
-             \"args\":{{\"name\":{name}}}}}"
-        ));
-    }
-
-    fn event(&mut self, cycle: u64, ev: ProbeEvent) {
-        self.kind_counts[ev.kind().index()] += 1;
-        if cycle > self.counter_cycle {
-            self.flush_counters();
-            self.counter_cycle = cycle;
+    #[test]
+    fn streaming_validator_agrees_with_the_tree_reference() {
+        let corpus = corpus();
+        let (mut ok, mut errors) = (0, std::collections::HashSet::new());
+        for text in &corpus {
+            let got = ChromeTrace::validate(text);
+            assert_eq!(got, validate_tree(text), "verdicts differ on {text}");
+            match got {
+                Ok(_) => ok += 1,
+                Err(e) => drop(errors.insert(e)),
+            }
         }
-        self.backfill_globals(cycle);
-        match ev {
-            ProbeEvent::TokenProduced { .. } => self.global_inflight += 1,
-            ProbeEvent::TokenConsumed { count, .. } => self.global_inflight -= count as i64,
-            ProbeEvent::TagAllocated { .. } => self.live_tags += 1,
-            ProbeEvent::TagFreed { .. } => self.live_tags -= 1,
-            _ => {}
-        }
-        if cycle >= self.next_global_sample {
-            self.sample_globals(cycle);
-        }
-        match ev {
-            ProbeEvent::NodeFired { node } => match self.fires.get_mut(&node) {
-                Some(run) if cycle == run.last || cycle == run.last + 1 => {
-                    run.last = cycle;
-                    run.count += 1;
-                }
-                Some(run) => {
-                    let done = *run;
-                    *run = FireRun { start: cycle, last: cycle, count: 1 };
-                    self.flush_fire(node, done);
-                }
-                None => {
-                    self.fires.insert(node, FireRun { start: cycle, last: cycle, count: 1 });
-                }
-            },
-            ProbeEvent::TokenProduced { node } => {
-                let block = self.node_block.get(&node).copied().unwrap_or(0);
-                self.touch_block(block, 1);
-            }
-            ProbeEvent::TokenConsumed { node, count } => {
-                let block = self.node_block.get(&node).copied().unwrap_or(0);
-                self.touch_block(block, -(count as i64));
-            }
-            ProbeEvent::TagAllocated { space, tag } => {
-                self.instant(cycle, "tag", "allocate", space, &format!("{{\"tag\":{tag}}}"));
-            }
-            ProbeEvent::TagFreed { space, tag } => {
-                self.instant(cycle, "tag", "free", space, &format!("{{\"tag\":{tag}}}"));
-            }
-            ProbeEvent::TagChanged { node, from, to } => {
-                let pid = self.node_block.get(&node).copied().unwrap_or(0);
-                self.instant(
-                    cycle,
-                    "tag",
-                    "changeTag",
-                    pid,
-                    &format!("{{\"node\":{node},\"from\":{from},\"to\":{to}}}"),
-                );
-            }
-            ProbeEvent::BlockEnter { block, tag } => {
-                self.instant(cycle, "block", "enter", block, &format!("{{\"tag\":{tag}}}"));
-            }
-            ProbeEvent::BlockExit { block, tag } => {
-                self.instant(cycle, "block", "exit", block, &format!("{{\"tag\":{tag}}}"));
-            }
-            ProbeEvent::StallBegin { node, tag, reason } => {
-                self.open_stall(cycle, node, tag, reason);
-            }
-            ProbeEvent::StallEnd { node, tag } => {
-                self.close_stall(cycle, node, tag);
-            }
-            ProbeEvent::FaultInjected { node, kind } => {
-                let pid = self.node_block.get(&node).copied().unwrap_or(0);
-                self.instant(cycle, "fault", kind.label(), pid, &format!("{{\"node\":{node}}}"));
-            }
-            ProbeEvent::MemAccess { node, addr, write } => {
-                let pid = self.node_block.get(&node).copied().unwrap_or(0);
-                self.instant(
-                    cycle,
-                    "mem",
-                    if write { "store" } else { "load" },
-                    pid,
-                    &format!("{{\"node\":{node},\"addr\":{addr}}}"),
-                );
-            }
-            ProbeEvent::MemMiss { node, addr, l2 } => {
-                let pid = self.node_block.get(&node).copied().unwrap_or(0);
-                self.instant(
-                    cycle,
-                    "mem",
-                    if l2 { "missL2" } else { "missL1" },
-                    pid,
-                    &format!("{{\"node\":{node},\"addr\":{addr}}}"),
-                );
-            }
+        // The corpus must reach every message, not just agree on a few.
+        assert!(ok >= 10, "only {ok} documents of the corpus pass");
+        for needle in [
+            "has no ph",
+            "unknown phase",
+            "has no name",
+            "has no ts",
+            "no args object",
+            "no numeric series",
+            "missing traceEvents array",
+            "traceEvents is empty",
+            "missing otherData.eventKinds",
+            "non-numeric kind count",
+            "at byte",
+        ] {
+            assert!(errors.iter().any(|e| e.contains(needle)), "no document yields {needle:?}");
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn a_malformed_event_is_reported_before_a_later_syntax_error() {
+        // The one observable difference from the tree: the tree-builder
+        // read the whole text first, so it saw the syntax error.
+        let text = "{\"traceEvents\":[{\"ph\":\"Q\",\"name\":\"n\",\"ts\":0}],\"otherData\":{";
+        assert!(ChromeTrace::validate(text).unwrap_err().contains("unknown phase"));
+        assert!(validate_tree(text).unwrap_err().contains("at byte"));
+    }
+
+    #[test]
+    fn records_past_the_cap_are_dropped_and_counted() {
+        let mut t = ChromeTrace::new();
+        t.declare_block(0, "main");
+        let events = 1000;
+        for tag in 0..events {
+            t.event(0, ProbeEvent::TagAllocated { space: 0, tag });
+        }
+        // Two global samples at the first event, one instant per event, two
+        // more samples from `render`.
+        let records = events + 4;
+        let text = t.render(0);
+        let kinds = ChromeTrace::validate(&text).expect("a truncated trace still validates");
+        assert_eq!(kinds["tag-allocated"], events, "kind counts keep counting past the cap");
+        let doc = Json::parse(&text).unwrap();
+        let kept = doc.get("traceEvents").unwrap().as_arr().unwrap().len();
+        assert_eq!(kept, 1 + MAX_TRACE_EVENTS, "the declaration plus a full buffer");
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("truncated"), Some(&Json::Bool(true)));
+        assert_eq!(other.get("dropped"), Some(&json::num(records - MAX_TRACE_EVENTS as u64)));
+    }
 
     fn sample_trace() -> String {
         let mut t = ChromeTrace::new();

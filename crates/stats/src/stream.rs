@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-use crate::json::{self, Json};
+use crate::json::{self, uint, Kind, Parser};
 use crate::probe::{EventKind, FaultKind, Probe, ProbeEvent, StallReason};
 
 /// The schema identifier written to and required of every JSONL document.
@@ -124,54 +124,76 @@ impl<W: Write> StreamProbe<W> {
 
 impl<W: Write> Probe for StreamProbe<W> {
     fn declare_block(&mut self, block: u32, name: &str) {
-        self.buf.push_str(&format!("{{\"decl\":\"block\",\"id\":{block},\"name\":"));
+        uint(&mut self.buf, "{\"decl\":\"block\",\"id\":", block.into());
+        self.buf.push_str(",\"name\":");
         json::write_str(&mut self.buf, name);
         self.buf.push('}');
         self.write_line();
     }
 
     fn declare_node(&mut self, node: u32, label: &str, block: u32) {
-        self.buf.push_str(&format!("{{\"decl\":\"node\",\"id\":{node},\"label\":"));
+        uint(&mut self.buf, "{\"decl\":\"node\",\"id\":", node.into());
+        self.buf.push_str(",\"label\":");
         json::write_str(&mut self.buf, label);
-        self.buf.push_str(&format!(",\"block\":{block}}}"));
+        uint(&mut self.buf, ",\"block\":", block.into());
+        self.buf.push('}');
         self.write_line();
     }
 
     fn event(&mut self, cycle: u64, ev: ProbeEvent) {
-        use std::fmt::Write as _;
         self.events += 1;
         let b = &mut self.buf;
-        let _ = write!(b, "{{\"c\":{cycle},\"k\":\"{}\"", ev.kind().name());
-        let _ = match ev {
+        uint(b, "{\"c\":", cycle);
+        b.push_str(",\"k\":\"");
+        b.push_str(ev.kind().name());
+        b.push('"');
+        let node_tag = |b: &mut String, node: u32, tag: u64| {
+            uint(b, ",\"node\":", node.into());
+            uint(b, ",\"tag\":", tag);
+        };
+        let mem = |b: &mut String, node: u32, addr: i64, flag: &str, set: bool| {
+            uint(b, ",\"node\":", node.into());
+            b.push_str(",\"addr\":");
+            json::write_i64(b, addr);
+            uint(b, flag, set.into());
+        };
+        match ev {
             ProbeEvent::NodeFired { node } | ProbeEvent::TokenProduced { node } => {
-                write!(b, ",\"node\":{node}")
+                uint(b, ",\"node\":", node.into());
             }
             ProbeEvent::TokenConsumed { node, count } => {
-                write!(b, ",\"node\":{node},\"n\":{count}")
+                uint(b, ",\"node\":", node.into());
+                uint(b, ",\"n\":", count.into());
             }
             ProbeEvent::TagAllocated { space, tag } | ProbeEvent::TagFreed { space, tag } => {
-                write!(b, ",\"space\":{space},\"tag\":{tag}")
+                uint(b, ",\"space\":", space.into());
+                uint(b, ",\"tag\":", tag);
             }
             ProbeEvent::TagChanged { node, from, to } => {
-                write!(b, ",\"node\":{node},\"from\":{from},\"to\":{to}")
+                uint(b, ",\"node\":", node.into());
+                uint(b, ",\"from\":", from);
+                uint(b, ",\"to\":", to);
             }
             ProbeEvent::BlockEnter { block, tag } | ProbeEvent::BlockExit { block, tag } => {
-                write!(b, ",\"block\":{block},\"tag\":{tag}")
+                uint(b, ",\"block\":", block.into());
+                uint(b, ",\"tag\":", tag);
             }
             ProbeEvent::StallBegin { node, tag, reason } => {
-                write!(b, ",\"node\":{node},\"tag\":{tag},\"reason\":\"{}\"", reason.label())
+                node_tag(b, node, tag);
+                b.push_str(",\"reason\":\"");
+                b.push_str(reason.label());
+                b.push('"');
             }
-            ProbeEvent::StallEnd { node, tag } => write!(b, ",\"node\":{node},\"tag\":{tag}"),
+            ProbeEvent::StallEnd { node, tag } => node_tag(b, node, tag),
             ProbeEvent::FaultInjected { node, kind } => {
-                write!(b, ",\"node\":{node},\"fault\":\"{}\"", kind.label())
+                uint(b, ",\"node\":", node.into());
+                b.push_str(",\"fault\":\"");
+                b.push_str(kind.label());
+                b.push('"');
             }
-            ProbeEvent::MemAccess { node, addr, write: w } => {
-                write!(b, ",\"node\":{node},\"addr\":{addr},\"w\":{}", u8::from(w))
-            }
-            ProbeEvent::MemMiss { node, addr, l2 } => {
-                write!(b, ",\"node\":{node},\"addr\":{addr},\"l2\":{}", u8::from(l2))
-            }
-        };
+            ProbeEvent::MemAccess { node, addr, write } => mem(b, node, addr, ",\"w\":", write),
+            ProbeEvent::MemMiss { node, addr, l2 } => mem(b, node, addr, ",\"l2\":", l2),
+        }
         b.push('}');
         self.write_line();
     }
@@ -189,6 +211,88 @@ pub struct StreamSummary {
     pub kinds: HashMap<String, u64>,
 }
 
+/// The members [`validate`] looks at, with the type it wants of each.
+const KEYS: [(&str, Kind); 19] = [
+    ("id", Kind::Num),
+    ("block", Kind::Num),
+    ("c", Kind::Num),
+    ("node", Kind::Num),
+    ("n", Kind::Num),
+    ("space", Kind::Num),
+    ("tag", Kind::Num),
+    ("from", Kind::Num),
+    ("to", Kind::Num),
+    ("addr", Kind::Num),
+    ("w", Kind::Num),
+    ("l2", Kind::Num),
+    ("schema", Kind::Str),
+    ("decl", Kind::Str),
+    ("name", Kind::Str),
+    ("label", Kind::Str),
+    ("k", Kind::Str),
+    ("reason", Kind::Str),
+    ("fault", Kind::Str),
+];
+
+/// What one pass over a line keeps: which of [`KEYS`] have the wanted type,
+/// and the text of those that are strings. As with
+/// [`crate::json::Json::get`], the first occurrence of a key decides; the
+/// buffers are reused from line to line.
+#[derive(Default)]
+struct Record {
+    /// Bit `i`: `KEYS[i]` occurred.
+    seen: u32,
+    /// Bit `i`: its first occurrence had the wanted type.
+    typed: u32,
+    text: [String; KEYS.len()],
+}
+
+impl Record {
+    /// Reads one line; anything but an object leaves every key absent.
+    fn read(&mut self, line: &str) -> Result<(), String> {
+        self.seen = 0;
+        self.typed = 0;
+        Parser::document(line, |p| {
+            if p.kind()? != Kind::Obj {
+                return p.skip();
+            }
+            p.object(|p, key| {
+                let Some(i) = KEYS.iter().position(|(k, _)| *k == key) else {
+                    return p.skip();
+                };
+                let first = self.seen & 1 << i == 0;
+                self.seen |= 1 << i;
+                if !first || p.kind()? != KEYS[i].1 {
+                    return p.skip();
+                }
+                self.typed |= 1 << i;
+                if KEYS[i].1 == Kind::Str {
+                    self.text[i].clear();
+                    p.string(Some(&mut self.text[i]))
+                } else {
+                    p.skip()
+                }
+            })
+        })
+    }
+
+    /// The index of `key` if its first occurrence had the wanted type.
+    fn typed(&self, key: &str) -> Option<usize> {
+        let i = KEYS.iter().position(|(k, _)| *k == key).expect("a key of KEYS");
+        (self.typed & 1 << i != 0).then_some(i)
+    }
+
+    /// Whether `key` is a number.
+    fn num(&self, key: &str) -> bool {
+        self.typed(key).is_some()
+    }
+
+    /// The text of `key` if it is a string.
+    fn str(&self, key: &str) -> Option<&str> {
+        self.typed(key).map(|i| self.text[i].as_str())
+    }
+}
+
 /// Validates a `tyr-events/v1` JSONL document line by line: the header's
 /// schema tag, every declaration's fields, and every event record's kind
 /// and kind-specific payload fields.
@@ -199,8 +303,9 @@ pub struct StreamSummary {
 pub fn validate(text: &str) -> Result<StreamSummary, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty document")?;
-    let header = Json::parse(header).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+    let mut rec = Record::default();
+    rec.read(header).map_err(|e| format!("line 1: {e}"))?;
+    if rec.str("schema") != Some(SCHEMA) {
         return Err(format!("line 1: missing or wrong \"schema\" (want {SCHEMA:?})"));
     }
 
@@ -210,27 +315,24 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
         if line.is_empty() {
             continue;
         }
-        let rec = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+        rec.read(line).map_err(|e| format!("line {n}: {e}"))?;
         let num = |key: &str| {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .map(|_| ())
-                .ok_or_else(|| format!("line {n}: missing numeric \"{key}\""))
+            if rec.num(key) {
+                Ok(())
+            } else {
+                Err(format!("line {n}: missing numeric \"{key}\""))
+            }
         };
-        if let Some(decl) = rec.get("decl").and_then(Json::as_str) {
+        if let Some(decl) = rec.str("decl") {
             match decl {
                 "block" => {
                     num("id")?;
-                    rec.get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("line {n}: block decl has no name"))?;
+                    rec.str("name").ok_or_else(|| format!("line {n}: block decl has no name"))?;
                 }
                 "node" => {
                     num("id")?;
                     num("block")?;
-                    rec.get("label")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("line {n}: node decl has no label"))?;
+                    rec.str("label").ok_or_else(|| format!("line {n}: node decl has no label"))?;
                 }
                 other => return Err(format!("line {n}: unknown decl {other:?}")),
             }
@@ -238,10 +340,7 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
             continue;
         }
         num("c")?;
-        let kind = rec
-            .get("k")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {n}: event record has no \"k\""))?;
+        let kind = rec.str("k").ok_or_else(|| format!("line {n}: event record has no \"k\""))?;
         let required: &[&str] = match kind {
             "fired" | "produced" => &["node"],
             "consumed" => &["node", "n"],
@@ -250,8 +349,7 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
             "block-enter" | "block-exit" => &["block", "tag"],
             "stall-begin" => {
                 let reason = rec
-                    .get("reason")
-                    .and_then(Json::as_str)
+                    .str("reason")
                     .ok_or_else(|| format!("line {n}: stall-begin has no reason"))?;
                 if !StallReason::ALL.iter().any(|r| r.label() == reason) {
                     return Err(format!("line {n}: unknown stall reason {reason:?}"));
@@ -261,8 +359,7 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
             "stall-end" => &["node", "tag"],
             "fault-injected" => {
                 let fault = rec
-                    .get("fault")
-                    .and_then(Json::as_str)
+                    .str("fault")
                     .ok_or_else(|| format!("line {n}: fault-injected has no fault"))?;
                 if !FaultKind::ALL.iter().any(|k| k.label() == fault) {
                     return Err(format!("line {n}: unknown fault class {fault:?}"));
@@ -277,7 +374,12 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
             num(key)?;
         }
         summary.events += 1;
-        *summary.kinds.entry(kind.to_string()).or_insert(0) += 1;
+        match summary.kinds.get_mut(kind) {
+            Some(count) => *count += 1,
+            None => {
+                summary.kinds.insert(kind.to_string(), 1);
+            }
+        }
     }
     Ok(summary)
 }
@@ -285,6 +387,7 @@ pub fn validate(text: &str) -> Result<StreamSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample() -> String {
         let mut s = StreamProbe::new(Vec::new());
@@ -326,6 +429,150 @@ mod tests {
         // Every line is independently valid JSON.
         for line in text.lines() {
             Json::parse(line).expect("each line parses");
+        }
+    }
+
+    /// The validator as it was before it streamed: a tree per line, then
+    /// key lookups. The reference [`validate`] must agree with.
+    fn validate_tree(text: &str) -> Result<StreamSummary, String> {
+        let mut lines = text.lines().enumerate();
+        let (_, header) = lines.next().ok_or("empty document")?;
+        let header = Json::parse(header).map_err(|e| format!("line 1: {e}"))?;
+        if header.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+            return Err(format!("line 1: missing or wrong \"schema\" (want {SCHEMA:?})"));
+        }
+        let mut summary = StreamSummary { events: 0, decls: 0, kinds: HashMap::new() };
+        for (i, line) in lines {
+            let n = i + 1;
+            if line.is_empty() {
+                continue;
+            }
+            let rec = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+            let num = |key: &str| {
+                rec.get(key)
+                    .and_then(Json::as_f64)
+                    .map(|_| ())
+                    .ok_or_else(|| format!("line {n}: missing numeric \"{key}\""))
+            };
+            let text = |key: &str, what: &str| {
+                rec.get(key).and_then(Json::as_str).ok_or_else(|| format!("line {n}: {what}"))
+            };
+            if let Some(decl) = rec.get("decl").and_then(Json::as_str) {
+                match decl {
+                    "block" => {
+                        num("id")?;
+                        text("name", "block decl has no name")?;
+                    }
+                    "node" => {
+                        num("id")?;
+                        num("block")?;
+                        text("label", "node decl has no label")?;
+                    }
+                    other => return Err(format!("line {n}: unknown decl {other:?}")),
+                }
+                summary.decls += 1;
+                continue;
+            }
+            num("c")?;
+            let kind = text("k", "event record has no \"k\"")?;
+            let required: &[&str] = match kind {
+                "fired" | "produced" => &["node"],
+                "consumed" => &["node", "n"],
+                "tag-allocated" | "tag-freed" => &["space", "tag"],
+                "tag-changed" => &["node", "from", "to"],
+                "block-enter" | "block-exit" => &["block", "tag"],
+                "stall-begin" => {
+                    let reason = text("reason", "stall-begin has no reason")?;
+                    if !StallReason::ALL.iter().any(|r| r.label() == reason) {
+                        return Err(format!("line {n}: unknown stall reason {reason:?}"));
+                    }
+                    &["node", "tag"]
+                }
+                "stall-end" => &["node", "tag"],
+                "fault-injected" => {
+                    let fault = text("fault", "fault-injected has no fault")?;
+                    if !FaultKind::ALL.iter().any(|k| k.label() == fault) {
+                        return Err(format!("line {n}: unknown fault class {fault:?}"));
+                    }
+                    &["node"]
+                }
+                "mem-access" => &["node", "addr", "w"],
+                "mem-miss" => &["node", "addr", "l2"],
+                other => return Err(format!("line {n}: unknown event kind {other:?}")),
+            };
+            for key in required {
+                num(key)?;
+            }
+            summary.events += 1;
+            *summary.kinds.entry(kind.to_string()).or_insert(0) += 1;
+        }
+        Ok(summary)
+    }
+
+    #[test]
+    fn streaming_validator_agrees_with_the_tree_reference() {
+        let good = sample();
+        let lines: Vec<&str> = good.lines().collect();
+        // The sample with line `i` replaced.
+        let with_line = |i: usize, line: String| {
+            let mut lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            lines[i] = line;
+            lines.join("\n")
+        };
+        let mut corpus = vec![good.clone(), String::new(), lines[0].to_string()];
+        for (i, line) in lines.iter().enumerate() {
+            let rec = Json::parse(line).unwrap();
+            let pairs = rec.as_obj().unwrap();
+            for (at, (key, v)) in pairs.iter().enumerate() {
+                let wrong = match v {
+                    Json::Str(_) => Json::Num(7.0),
+                    _ => Json::Str("7".into()),
+                };
+                let mut removed = pairs.to_vec();
+                removed.remove(at);
+                let mut mistyped = pairs.to_vec();
+                mistyped[at].1 = wrong.clone();
+                let mut unknown = pairs.to_vec();
+                unknown[at].1 = json::str("warped");
+                // Duplicated with the wrong type second (ignored), then first.
+                let mut twice = pairs.to_vec();
+                twice.push((key.clone(), wrong));
+                let mut twice_first = twice.clone();
+                twice_first.rotate_right(1);
+                for pairs in [removed, mistyped, unknown, twice, twice_first] {
+                    corpus.push(with_line(i, Json::Obj(pairs).render()));
+                }
+            }
+            for other in ["3", "[1]", "{}", "{\"c\":", "{\"c\":01}", ""] {
+                corpus.push(with_line(i, other.to_string()));
+            }
+        }
+        let mut errors = std::collections::HashSet::new();
+        for text in &corpus {
+            let got = validate(text);
+            assert_eq!(got, validate_tree(text), "verdicts differ on:\n{text}");
+            if let Err(e) = got {
+                // Messages name the line; the corpus is compared on the rest.
+                errors.insert(e.split_once(": ").unwrap_or(("", &e)).1.to_string());
+            }
+        }
+        for needle in [
+            "empty document",
+            "\"schema\"",
+            "missing numeric \"c\"",
+            "missing numeric \"l2\"",
+            "block decl has no name",
+            "node decl has no label",
+            "unknown decl",
+            "has no \"k\"",
+            "unknown event kind",
+            "has no reason",
+            "unknown stall reason",
+            "has no fault",
+            "unknown fault class",
+            "at byte",
+        ] {
+            assert!(errors.iter().any(|e| e.contains(needle)), "no document yields {needle:?}");
         }
     }
 
