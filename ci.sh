@@ -9,6 +9,10 @@ cargo fmt --all --check
 # The memory model lives behind `MemPort` (crates/sim/src/mem.rs); an engine
 # that names the cache simulator again has grown a private copy of the port.
 if (cd crates/sim/src && grep -l CacheSim tagged.rs ordered.rs seqdf.rs seqvn.rs ooo.rs); then exit 1; fi
+# The tagged engine is generic over `store::Rows` and picks dense or sparse
+# rows once per run (DESIGN.md §7.9); naming a per-token representation
+# enum again would bring back the match on every token.
+if grep -n TokenStore crates/sim/src/tagged.rs; then exit 1; fi
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc is part of the product: every public item is documented
 # (`#![warn(missing_docs)]` on every crate) and broken intra-doc links or
@@ -19,6 +23,12 @@ cargo test --offline --workspace -q
 # The no-tree pin, by name and optimized, so no filter can drop it:
 # `ChromeTrace::validate` may allocate under 64 KiB on a 12 MB trace.
 cargo test --offline --release -q -p tyr-stats --test validate_alloc
+# The token store and the event queue against their reference models
+# (DESIGN.md §7.9, §7.3), likewise by name and optimized.
+cargo test --offline --release -q -p tyr-sim --lib -- --exact \
+  store::tests::dense_store_matches_the_reference_model \
+  store::tests::sparse_store_matches_the_reference_model \
+  event::tests::ring_matches_a_sorted_vec_reference
 # The pinned benchmark crate must keep building against the harness API, and
 # its parity check compares the public launch calls (`run_system`,
 # `LoweredWorkload`, `run_probed`, `fuzz::run_engine`) with the same runs

@@ -1,12 +1,13 @@
-//! Micro-bench pairs for the tagged engine's hot-path data structures:
-//! SipHash vs FxHash on the sparse token store's churn pattern, and
-//! per-token `Vec` allocation vs the pooled [`ValueSlab`] on token
-//! turnover; and the store's access pattern itself — one row resolution per
-//! operation (the engine before DESIGN.md §7.9) vs one fused
-//! [`TokenStore::put`] per delivery and [`TokenStore::take`] per firing.
-//! Run with `cargo bench -p tyr-bench --bench store`; each pair
-//! isolates one substitution the engine made, so the win (or a regression)
-//! is measurable in-repo without profiling a whole simulation.
+//! Micro-bench pairs for the tagged engine's token store: its access
+//! pattern — one row resolution per operation (the engine before DESIGN.md
+//! §7.9) vs one fused [`Rows::put`] per delivery and [`Rows::take`] per
+//! firing — and its sparse slot layout — a SipHash map of `Vec` rows, an
+//! FxHash map of pooled [`ValueSlab`] rows, and an FxHash map holding the
+//! row inline (§7.2). Run with `cargo bench -p tyr-bench --bench store`;
+//! each pair isolates one substitution the engine made, so the win (or a
+//! regression) is measurable in-repo without profiling a whole simulation.
+//! The hash and slab structures alone are measured by `benchmarks/`
+//! (`sim.fxhash.churn_ns`, `sim.slab.turnover_ns`).
 
 use std::collections::HashMap;
 
@@ -14,41 +15,15 @@ use tyr_bench::micro::Harness;
 use tyr_ir::Value;
 use tyr_sim::fxhash::FxHashMap;
 use tyr_sim::slab::ValueSlab;
-use tyr_sim::store::{TokenStore, IN_QUEUE};
+use tyr_sim::store::{DenseRows, Rows, SparseRows, IN_QUEUE};
 
-/// Ports per token set (a typical wired-input count).
-const PORTS: usize = 3;
+/// Ports per token set: a two-input instruction, the widest the sparse
+/// store keeps inline.
+const PORTS: usize = 2;
 /// Tags alive at once during churn (a realistic unordered working set).
 const LIVE: u64 = 512;
 /// Total tag lifetimes simulated per iteration.
 const TURNOVER: u64 = 4096;
-
-/// The sparse store's life cycle for one tag, generic over the hasher:
-/// first token inserts the slot, later tokens set more ports, match reads
-/// every port, consumption clears the slot. Tags are engine-style
-/// monotonically increasing integers.
-fn churn<S: std::hash::BuildHasher + Default>() -> Value {
-    let mut map: HashMap<u64, (u64, [Value; PORTS]), S> = HashMap::default();
-    let mut sum: Value = 0;
-    for tag in 0..TURNOVER {
-        let slot = map.entry(tag).or_insert((0, [0; PORTS]));
-        for port in 0..PORTS {
-            slot.0 |= 1 << port;
-            slot.1[port] = tag as Value + port as Value;
-        }
-        if tag >= LIVE {
-            let dead = tag - LIVE;
-            if let Some((present, vals)) = map.get(&dead) {
-                std::hint::black_box(present);
-                for v in vals {
-                    sum = sum.wrapping_add(*v);
-                }
-            }
-            map.remove(&dead);
-        }
-    }
-    sum
-}
 
 /// The token store as the engine drove it before §7.9: every operation
 /// (`present`, `set`, `or_flags`, `clear`, `val`) resolves the row again —
@@ -175,7 +150,7 @@ fn row_access_per_op(store: &std::cell::RefCell<PerOpStore>, tag_of: impl Fn(u64
 }
 
 /// The retained design: one `put` per delivery, one `take` per firing.
-fn row_access_fused(store: &std::cell::RefCell<TokenStore>, tag_of: impl Fn(u64) -> u64) -> Value {
+fn row_access_fused(store: &std::cell::RefCell<impl Rows>, tag_of: impl Fn(u64) -> u64) -> Value {
     activations(
         tag_of,
         |tag, port, val| {
@@ -201,7 +176,7 @@ fn main() {
         vals: vec![0; rows * 2],
     });
     b.bench("row_access/dense/per_op", || row_access_per_op(&dense, |i| i % LIVE));
-    let dense = std::cell::RefCell::new(TokenStore::dense(2, rows));
+    let dense = std::cell::RefCell::new(DenseRows::new(2, rows));
     b.bench("row_access/dense/fused", || row_access_fused(&dense, |i| i % LIVE));
     let sparse = std::cell::RefCell::new(PerOpStore::Sparse {
         map: FxHashMap::default(),
@@ -214,62 +189,20 @@ fn main() {
         let base = next_epoch();
         row_access_per_op(&sparse, |i| base + i)
     });
-    let sparse = std::cell::RefCell::new(TokenStore::sparse(2));
+    let sparse = std::cell::RefCell::new(SparseRows::new(2));
     b.bench("row_access/sparse/fused", || {
         let base = next_epoch();
         row_access_fused(&sparse, |i| base + i)
     });
 
-    b.bench("sparse_store_churn/siphash", churn::<std::collections::hash_map::RandomState>);
-    b.bench("sparse_store_churn/fxhash", churn::<tyr_sim::fxhash::FxBuildHasher>);
-
-    // Token-set turnover: the old store allocated a fresh `vec![0; PORTS]`
-    // per tag lifetime; the slab recycles rows through its free list.
-    b.bench("token_turnover/alloc", || {
-        let mut live: Vec<Vec<Value>> = Vec::new();
-        let mut sum: Value = 0;
-        for tag in 0..TURNOVER {
-            let mut vals = vec![0; PORTS];
-            for (port, v) in vals.iter_mut().enumerate() {
-                *v = tag as Value + port as Value;
-            }
-            live.push(vals);
-            if live.len() > LIVE as usize {
-                let vals = live.swap_remove(0);
-                sum = sum.wrapping_add(vals.iter().sum::<Value>());
-            }
-        }
-        sum
-    });
-    b.bench("token_turnover/slab", || {
-        let mut slab = ValueSlab::new(PORTS);
-        let mut live: Vec<u32> = Vec::new();
-        let mut sum: Value = 0;
-        for tag in 0..TURNOVER {
-            let row = slab.acquire();
-            for port in 0..PORTS {
-                slab.set(row, port as u16, tag as Value + port as Value);
-            }
-            live.push(row);
-            if live.len() > LIVE as usize {
-                let row = live.swap_remove(0);
-                for port in 0..PORTS {
-                    sum = sum.wrapping_add(slab.get(row, port as u16));
-                }
-                slab.release(row);
-            }
-        }
-        sum
-    });
-
-    // The combined effect, closest to the engine's actual Store::Sparse:
-    // fx-hashed map of (present, slab row) vs SipHash map of (present, Vec).
+    // The sparse slot layouts: SipHash map of (present, Vec), fx-hashed map
+    // of (present, slab row), and the engine's fx-hashed (present, values).
     b.bench("combined/siphash_vec", || {
         let mut map: HashMap<u64, (u64, Vec<Value>)> = HashMap::new();
         let mut sum: Value = 0;
         for tag in 0..TURNOVER {
             let slot = map.entry(tag).or_insert_with(|| (0, vec![0; PORTS]));
-            slot.0 = 0b111;
+            slot.0 = 0b11;
             slot.1[0] = tag as Value;
             if tag >= LIVE {
                 if let Some((_, vals)) = map.remove(&(tag - LIVE)) {
@@ -285,13 +218,28 @@ fn main() {
         let mut sum: Value = 0;
         for tag in 0..TURNOVER {
             let slot = map.entry(tag).or_insert_with(|| (0, slab.acquire()));
-            slot.0 = 0b111;
+            slot.0 = 0b11;
             let row = slot.1;
             slab.set(row, 0, tag as Value);
             if tag >= LIVE {
                 if let Some((_, row)) = map.remove(&(tag - LIVE)) {
                     sum = sum.wrapping_add(slab.get(row, 0));
                     slab.release(row);
+                }
+            }
+        }
+        sum
+    });
+    b.bench("combined/fxhash_inline", || {
+        let mut map: FxHashMap<u64, (u64, [Value; PORTS])> = FxHashMap::default();
+        let mut sum: Value = 0;
+        for tag in 0..TURNOVER {
+            let slot = map.entry(tag).or_insert((0, [0; PORTS]));
+            slot.0 = 0b11;
+            slot.1[0] = tag as Value;
+            if tag >= LIVE {
+                if let Some((_, vals)) = map.remove(&(tag - LIVE)) {
+                    sum = sum.wrapping_add(vals[0]);
                 }
             }
         }

@@ -25,10 +25,12 @@
 //! is: values are read/written architecturally at issue time, so cached and
 //! ideal runs produce identical memory images and return values (the
 //! differential fuzzer's `--mem cached` sweep pins this). The variable
-//! completion cycles ride the engines' existing [`EventQueue`](crate::event::EventQueue) miss path
-//! (the `Sorted` representation), so the event-driven idle-skip keeps
-//! working; the jump clamp includes [`CacheSim::next_fill`], the earliest
-//! outstanding MSHR fill.
+//! completion cycles ride the engines' existing
+//! [`EventQueue`](crate::event::EventQueue) miss path (the release-ordered
+//! calendar ring of [`EventQueue::sorted`](crate::event::EventQueue::sorted),
+//! which lets a hit overtake an earlier miss), so the event-driven idle-skip
+//! keeps working; the jump clamp includes [`CacheSim::next_fill`], the
+//! earliest outstanding MSHR fill.
 //!
 //! [`tyr-verify`]: ../../tyr_verify/index.html
 

@@ -1,8 +1,5 @@
 //! The event queue behind the event-driven simulator cores.
 //!
-//! PR 4 introduced a timing wheel (`DelayLine`, private to the tagged
-//! engine) purely as a faster container for delayed memory responses. This
-//! module generalizes it into the *scheduler* the engines plan around:
 //! [`EventQueue`] holds any future work item keyed by its release cycle and
 //! can answer the question an event-driven core needs — *"when does
 //! anything happen next?"* ([`EventQueue::next_release`]) — so that an
@@ -24,7 +21,7 @@
 //! # Scheduling invariants
 //!
 //! * **Release order.** `drain_due(cycle, out)` moves exactly the items
-//!   with `release <= cycle + 1` (wheel) or the matured FIFO prefix into
+//!   with `release <= cycle + 1` (ring) or the matured FIFO prefix into
 //!   `out`, in insertion order per release cycle — bit-identical to the
 //!   per-cycle scan it replaces.
 //! * **Quiescence.** For every cycle `x` with
@@ -34,57 +31,120 @@
 //!   observable behaviour, because no firing, delivery, or probe event can
 //!   occur in the skipped cycles.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// Largest constant latency served by the timing-wheel representation;
-/// beyond it the wheel's bucket array would outweigh the FIFO it replaces.
+/// Largest constant latency [`EventQueue::new`] serves from a ring; beyond
+/// it the ring's bucket array would outweigh the FIFO it replaces.
 pub const WHEEL_MAX_LATENCY: u64 = 1 << 14;
+
+/// Fewest buckets a ring grows to.
+const MIN_BUCKETS: usize = 16;
 
 /// Future work items bucketed by release cycle.
 ///
 /// Two representations share one interface:
 ///
-/// * **Wheel** — for a constant latency `L` in `2..=`[`WHEEL_MAX_LATENCY`]:
-///   at most `L` distinct release cycles are ever in flight, so a ring of
-///   `L + 1` buckets is exact. An item released at cycle `r` lives in
-///   bucket `r % (L + 1)`; the per-cycle drain empties bucket
-///   `(cycle + 1) % (L + 1)` with a single `Vec::append`. Same-cycle
-///   insertions can never collide with the bucket being drained
-///   (`c + L ≡ c + 1 (mod L + 1)` has no solution for `L ≥ 2`).
-/// * **FIFO** — the fallback for latencies outside the wheel range and for
-///   *variable* per-item delays (the `mem-delay` fault class adds random
-///   extra latency). The drain is **front-gated**: it pops only while the
-///   front item has matured. With constant latency insertion order equals
-///   release order and the gate is exact; with variable delays an item
-///   behind a later-releasing front waits for it — deliberately, because
-///   that is the delivery order the pre-wheel engines had, and fault-run
+/// * **Ring** — a calendar ring of power-of-two length over the in-flight
+///   release cycles `lo..=hi`: an item released at cycle `r` lives in
+///   bucket `r & (len - 1)`, and because `hi - lo < len` every bucket holds
+///   a single release cycle. A push outside the window re-buckets into a
+///   ring twice as long (or longer), so any mix of delays is exact: an L1
+///   hit of the cache model ([`crate::cache`]) pushed after a DRAM miss
+///   lowers `lo` and overtakes it. The drain walks `lo..=cycle + 1`,
+///   appending each bucket, which delivers in release order and insertion
+///   order within a cycle and catches up over cycles it was not called for.
+///   It starts empty and grows to the span of releases in flight.
+/// * **FIFO** — the fallback for latencies outside the ring range and for
+///   the `mem-delay` fault class, which adds random extra latency. The
+///   drain is **front-gated**: it pops only while the front item has
+///   matured. With constant latency insertion order equals release order
+///   and the gate is exact; with variable delays an item behind a
+///   later-releasing front waits for it — deliberately, because that is
+///   the delivery order the pre-wheel engines had, and fault-run
 ///   reproducibility pins it.
-/// * **Sorted** — for variable per-item delays that must deliver in
-///   *release* order rather than issue order: the cache-hierarchy memory
-///   model ([`crate::cache`]) completes an L1 hit in a couple of cycles
-///   while a concurrent DRAM miss is still outstanding, so front-gating
-///   would make every hit as slow as the miss ahead of it. A `BTreeMap`
-///   keyed by release cycle delivers matured items in release order
-///   (insertion order within a cycle), preserving the quiescence invariant
-///   below at an O(log n) insert cost paid only in cached mode.
-pub enum EventQueue<T> {
-    /// Ring of `latency + 1` buckets; `buckets[r % len]` holds exactly the
-    /// items releasing at cycle `r`.
-    Wheel {
-        /// The bucket ring.
-        buckets: Vec<Vec<T>>,
-        /// Total items in flight across all buckets.
-        in_flight: usize,
-    },
+pub struct EventQueue<T>(Repr<T>);
+
+enum Repr<T> {
+    Ring(Ring<T>),
     /// Front-gated `(release, item)` queue.
     Fifo(VecDeque<(u64, T)>),
-    /// Release-ordered map for variable latencies (cached memory mode).
-    Sorted {
-        /// Items bucketed by release cycle, delivered in key order.
-        map: BTreeMap<u64, Vec<T>>,
-        /// Total items in flight across all buckets.
-        in_flight: usize,
-    },
+}
+
+/// The calendar ring; see [`EventQueue`].
+struct Ring<T> {
+    /// `buckets[r & (len - 1)]` holds exactly the items releasing at cycle
+    /// `r`, for every `r` in `lo..=hi`; the length is a power of two (or 0
+    /// before the first push).
+    buckets: Vec<Vec<T>>,
+    /// No item in flight releases before `lo` (stale while empty).
+    lo: u64,
+    /// No item in flight releases after `hi` (stale while empty).
+    hi: u64,
+    /// Total items in flight across all buckets.
+    in_flight: usize,
+}
+
+impl<T> Ring<T> {
+    fn new() -> Self {
+        Ring { buckets: Vec::new(), lo: 0, hi: 0, in_flight: 0 }
+    }
+
+    #[inline]
+    fn bucket(&mut self, release: u64) -> &mut Vec<T> {
+        let mask = self.buckets.len() as u64 - 1;
+        &mut self.buckets[(release & mask) as usize]
+    }
+
+    #[inline]
+    fn push(&mut self, release: u64, item: T) {
+        let (lo, hi) = if self.in_flight == 0 {
+            (release, release)
+        } else {
+            (self.lo.min(release), self.hi.max(release))
+        };
+        if hi - lo >= self.buckets.len() as u64 {
+            self.grow(hi - lo);
+        }
+        (self.lo, self.hi) = (lo, hi);
+        self.bucket(release).push(item);
+        self.in_flight += 1;
+    }
+
+    /// Re-buckets into a ring long enough for a window of `span + 1`
+    /// release cycles. Any `len` consecutive cycles map one-to-one onto the
+    /// old buckets and, the new ring being longer, onto distinct new ones,
+    /// so the window starting at the (possibly stale) `lo` moves every item
+    /// and keeps every bucket's allocation.
+    #[cold]
+    fn grow(&mut self, span: u64) {
+        let len = (span as usize + 1).next_power_of_two().max(MIN_BUCKETS);
+        let fresh = std::iter::repeat_with(Vec::new).take(len).collect();
+        let mut old = std::mem::replace(&mut self.buckets, fresh);
+        let old_mask = (old.len() as u64).wrapping_sub(1);
+        for r in self.lo..self.lo + old.len() as u64 {
+            *self.bucket(r) = std::mem::take(&mut old[(r & old_mask) as usize]);
+        }
+    }
+
+    #[inline]
+    fn drain_due(&mut self, cycle: u64, out: &mut Vec<T>) {
+        while self.in_flight > 0 && self.lo <= cycle + 1 {
+            let lo = self.lo;
+            let bucket = self.bucket(lo);
+            let n = bucket.len();
+            out.append(bucket);
+            self.in_flight -= n;
+            self.lo += 1;
+        }
+    }
+
+    fn next_release(&self) -> Option<u64> {
+        if self.in_flight == 0 {
+            return None;
+        }
+        let mask = self.buckets.len() as u64 - 1;
+        (self.lo..=self.hi).find(|&r| !self.buckets[(r & mask) as usize].is_empty())
+    }
 }
 
 impl<T> EventQueue<T> {
@@ -94,41 +154,31 @@ impl<T> EventQueue<T> {
     /// to the FIFO representation.
     pub fn new(latency: u64) -> Self {
         if (2..=WHEEL_MAX_LATENCY).contains(&latency) {
-            let len = latency as usize + 1;
-            EventQueue::Wheel { buckets: (0..len).map(|_| Vec::new()).collect(), in_flight: 0 }
+            EventQueue::sorted()
         } else {
-            EventQueue::Fifo(VecDeque::new())
+            EventQueue::fifo()
         }
     }
 
     /// An explicitly FIFO queue, for callers whose per-item delays vary
     /// (e.g. when the `mem-delay` fault class is armed).
     pub fn fifo() -> Self {
-        EventQueue::Fifo(VecDeque::new())
+        EventQueue(Repr::Fifo(VecDeque::new()))
     }
 
     /// A release-ordered queue for variable per-item delays that must not
     /// be front-gated — the cached-memory miss path, where short hits
     /// complete while long misses are still in flight.
     pub fn sorted() -> Self {
-        EventQueue::Sorted { map: BTreeMap::new(), in_flight: 0 }
+        EventQueue(Repr::Ring(Ring::new()))
     }
 
-    /// Schedules `item` for cycle `release`. On the wheel representation
-    /// the caller must push with the queue's constant latency (the ring
-    /// holds one bucket per distinct in-flight release cycle).
+    /// Schedules `item` for cycle `release`.
+    #[inline]
     pub fn push(&mut self, release: u64, item: T) {
-        match self {
-            EventQueue::Wheel { buckets, in_flight } => {
-                let len = buckets.len() as u64;
-                buckets[(release % len) as usize].push(item);
-                *in_flight += 1;
-            }
-            EventQueue::Fifo(q) => q.push_back((release, item)),
-            EventQueue::Sorted { map, in_flight } => {
-                map.entry(release).or_default().push(item);
-                *in_flight += 1;
-            }
+        match &mut self.0 {
+            Repr::Ring(ring) => ring.push(release, item),
+            Repr::Fifo(q) => q.push_back((release, item)),
         }
     }
 
@@ -139,60 +189,42 @@ impl<T> EventQueue<T> {
 
     /// Number of items in flight.
     pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel { in_flight, .. } => *in_flight,
-            EventQueue::Fifo(q) => q.len(),
-            EventQueue::Sorted { in_flight, .. } => *in_flight,
+        match &self.0 {
+            Repr::Ring(ring) => ring.in_flight,
+            Repr::Fifo(q) => q.len(),
         }
     }
 
     /// Moves every item due by the end of `cycle` (release `<= cycle + 1`)
     /// into `out`, in issue order, reusing `out`'s capacity across cycles.
+    #[inline]
     pub fn drain_due(&mut self, cycle: u64, out: &mut Vec<T>) {
-        match self {
-            EventQueue::Wheel { buckets, in_flight } => {
-                let len = buckets.len() as u64;
-                let bucket = &mut buckets[((cycle + 1) % len) as usize];
-                *in_flight -= bucket.len();
-                out.append(bucket);
-            }
-            EventQueue::Fifo(q) => {
+        match &mut self.0 {
+            Repr::Ring(ring) => ring.drain_due(cycle, out),
+            Repr::Fifo(q) => {
                 while q.front().is_some_and(|&(r, _)| r <= cycle + 1) {
                     let (_, item) = q.pop_front().expect("checked");
                     out.push(item);
-                }
-            }
-            EventQueue::Sorted { map, in_flight } => {
-                while map.first_key_value().is_some_and(|(&r, _)| r <= cycle + 1) {
-                    let (_, mut items) = map.pop_first().expect("checked");
-                    *in_flight -= items.len();
-                    out.append(&mut items);
                 }
             }
         }
     }
 
     /// The earliest cycle at which [`EventQueue::drain_due`] will next
-    /// deliver anything, seen from `cycle`, or `None` when empty.
+    /// deliver anything, or `None` when empty.
     ///
-    /// On the wheel this scans at most `len` buckets outward from `cycle`
-    /// — O(latency), paid only when the caller is about to skip up to
-    /// `latency` idle cycles, so O(1) amortized per skipped cycle. On the
-    /// FIFO it is the *front* item's release: the drain is front-gated, so
-    /// even if a later item matures earlier it cannot be delivered before
-    /// the front — the front release, not the minimum release, is the next
-    /// delivery cycle.
-    pub fn next_release(&self, cycle: u64) -> Option<u64> {
-        match self {
-            EventQueue::Wheel { buckets, in_flight } => {
-                if *in_flight == 0 {
-                    return None;
-                }
-                let len = buckets.len() as u64;
-                (1..=len).map(|d| cycle + d).find(|r| !buckets[(r % len) as usize].is_empty())
-            }
-            EventQueue::Fifo(q) => q.front().map(|&(r, _)| r),
-            EventQueue::Sorted { map, .. } => map.first_key_value().map(|(&r, _)| r),
+    /// On the ring this is the earliest release in flight, found by
+    /// scanning buckets upward from `lo` — O(gap), paid only when the
+    /// caller is about to skip that gap, so O(1) amortized per skipped
+    /// cycle. On the FIFO it is the *front* item's release: the drain is
+    /// front-gated, so even if a later item matures earlier it cannot be
+    /// delivered before the front — the front release, not the minimum
+    /// release, is the next delivery cycle. `_cycle` (the caller's clock)
+    /// is not needed by either.
+    pub fn next_release(&self, _cycle: u64) -> Option<u64> {
+        match &self.0 {
+            Repr::Ring(ring) => ring.next_release(),
+            Repr::Fifo(q) => q.front().map(|&(r, _)| r),
         }
     }
 }
@@ -213,16 +245,17 @@ mod tests {
         out
     }
 
+    fn is_ring(q: &EventQueue<u32>) -> bool {
+        matches!(q.0, Repr::Ring(_))
+    }
+
     #[test]
     fn wheel_and_fifo_agree_on_constant_latency() {
-        // Pushes must happen at their originating cycle: the wheel's ring is
-        // exact only while every in-flight release is within `latency` of
-        // the current cycle.
         let pushes = [(0u64, 10u32), (0, 11), (3, 12), (5, 13)];
         for latency in [2u64, 3, 7, 64] {
             let mut wheel = EventQueue::new(latency);
             let mut fifo = EventQueue::fifo();
-            assert!(matches!(wheel, EventQueue::Wheel { .. }));
+            assert!(is_ring(&wheel));
             let run = |q: &mut EventQueue<u32>| {
                 let mut out = Vec::new();
                 let mut scratch = Vec::new();
@@ -336,9 +369,109 @@ mod tests {
 
     #[test]
     fn out_of_range_latency_falls_back_to_fifo() {
-        assert!(matches!(EventQueue::<u32>::new(0), EventQueue::Fifo(_)));
-        assert!(matches!(EventQueue::<u32>::new(1), EventQueue::Fifo(_)));
-        assert!(matches!(EventQueue::<u32>::new(WHEEL_MAX_LATENCY + 1), EventQueue::Fifo(_)));
-        assert!(matches!(EventQueue::<u32>::new(WHEEL_MAX_LATENCY), EventQueue::Wheel { .. }));
+        assert!(!is_ring(&EventQueue::new(0)));
+        assert!(!is_ring(&EventQueue::new(1)));
+        assert!(!is_ring(&EventQueue::new(WHEEL_MAX_LATENCY + 1)));
+        assert!(is_ring(&EventQueue::new(WHEEL_MAX_LATENCY)));
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The obviously-correct queue: `(release, seq, item)` kept sorted, so
+    /// the due prefix is delivered by release cycle, then by insertion.
+    #[derive(Default)]
+    struct Model {
+        items: Vec<(u64, u64, u32)>,
+        seq: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, release: u64, item: u32) {
+            self.items.push((release, self.seq, item));
+            self.items.sort_unstable();
+            self.seq += 1;
+        }
+
+        fn drain_due(&mut self, cycle: u64) -> Vec<u32> {
+            let due = self.items.partition_point(|&(r, _, _)| r <= cycle + 1);
+            self.items.drain(..due).map(|(_, _, item)| item).collect()
+        }
+
+        fn next_release(&self) -> Option<u64> {
+            self.items.first().map(|&(r, _, _)| r)
+        }
+    }
+
+    /// Drives `q` and the model with one seeded schedule of pushes (short
+    /// and long delays, releases below every in-flight one, quiet stretches
+    /// that empty the queue), drains (some cycles skipped) and clock moves
+    /// (one cycle, a jump to `next_release - 1`, or a blind stride), and
+    /// compares every delivery and `next_release` after every step.
+    /// Returns the ring's final length, how many times the queue emptied
+    /// and refilled, and how many pushes released before every item already
+    /// in flight.
+    fn against_model(mut q: EventQueue<u32>, seed: u64, latency: u64) -> (usize, usize, usize) {
+        let mut model = Model::default();
+        let mut rng = seed;
+        let (mut cycle, mut item) = (0u64, 0u32);
+        let (mut refills, mut overtakes) = (0, 0);
+        let mut due = Vec::new();
+        for step in 0..20_000 {
+            // Bursty traffic: every 500 steps a 100-step quiet stretch.
+            let quiet = step % 500 >= 400;
+            let pushes = if quiet { 0 } else { xorshift(&mut rng) % 4 };
+            for _ in 0..pushes {
+                let delay = match xorshift(&mut rng) % 8 {
+                    0 => 2,
+                    1 => xorshift(&mut rng) % 2, // already due
+                    2 => latency,
+                    3 => 14,
+                    4 => 114,
+                    5 => 100 + xorshift(&mut rng) % 2_000, // grows the ring
+                    _ => 2 + xorshift(&mut rng) % 40,
+                };
+                match model.next_release() {
+                    None if cycle > 0 => refills += 1,
+                    Some(first) if cycle + delay < first => overtakes += 1,
+                    _ => {}
+                }
+                q.push(cycle + delay, item);
+                model.push(cycle + delay, item);
+                item += 1;
+            }
+            assert_eq!(q.len(), model.items.len(), "step {step}");
+            // One cycle in eight skips its drain; the next one catches up.
+            if !xorshift(&mut rng).is_multiple_of(8) {
+                q.drain_due(cycle, &mut due);
+                assert_eq!(due, model.drain_due(cycle), "step {step}, cycle {cycle}");
+                due.clear();
+            }
+            assert_eq!(q.next_release(cycle), model.next_release(), "step {step}");
+            cycle = match xorshift(&mut rng) % 4 {
+                0 => model.next_release().map_or(cycle + 1, |r| r.saturating_sub(1).max(cycle + 1)),
+                1 => cycle + 1 + xorshift(&mut rng) % 300,
+                _ => cycle + 1,
+            };
+        }
+        let Repr::Ring(ring) = q.0 else { unreachable!("a ring was passed") };
+        (ring.buckets.len(), refills, overtakes)
+    }
+
+    #[test]
+    fn ring_matches_a_sorted_vec_reference() {
+        for seed in [1u64, 0x9e37_79b9_7f4a_7c15, 0xdead_beef] {
+            for (q, latency) in [(EventQueue::sorted(), 114), (EventQueue::new(200), 200)] {
+                let (len, refills, overtakes) = against_model(q, seed, latency);
+                // Growth needs two distinct releases in flight.
+                assert!(len > 256, "the ring must grow with items in flight: {len}");
+                assert!(refills > 10, "the queue must empty and refill: {refills}");
+                assert!(overtakes > 100, "short releases must overtake long ones: {overtakes}");
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@ pub(crate) struct PlanNode {
     pub(crate) op: Op,
     /// Presence bits of the wired inputs.
     pub(crate) required: u64,
-    /// The `enqueue` mask deliveries pass to `TokenStore::put`: the full
+    /// The `enqueue` mask deliveries pass to `Rows::put`: the full
     /// input set for strict nodes, nothing for `merge` (any arrival fires
     /// it), and never satisfiable for `allocate` (the tag policy decides).
     pub(crate) enqueue: u64,

@@ -6,6 +6,8 @@
 //! token set, on the hottest path of the unbounded-tag policies. The slab
 //! replaces that with recycled rows carved out of one backing `Vec`: after
 //! warm-up, acquiring and releasing a row touches no allocator at all.
+//! Since the sparse store keeps rows of up to two ports inline in its map
+//! slot, the slab holds only the rows of wider nodes.
 //!
 //! Rows are always handed out zeroed (matching the `vec![0; width]` the
 //! slab replaces); zeroing happens on release, where the row's width is a

@@ -3,11 +3,13 @@
 //! flags in the top bits) and the port values.
 //!
 //! TYR's bounded local tag spaces make the store a small directly-indexed
-//! array — the implementation benefit Sec. III claims — while unbounded
-//! tags force an associative one. Either way a token's arrival is *one*
-//! read-modify-write of its row ([`TokenStore::put`]) and a firing is one
-//! more ([`TokenStore::take`]): the dense store indexes the row once, the
-//! sparse store probes its map once (DESIGN.md §7.9).
+//! array ([`DenseRows`]) — the implementation benefit Sec. III claims —
+//! while unbounded tags force an associative one ([`SparseRows`]). The
+//! engine is generic over [`Rows`] and picks the representation once per
+//! run from its tag policy, so no token pays for the other one. Either way
+//! a token's arrival is *one* read-modify-write of its row ([`Rows::put`])
+//! and a firing is one more ([`Rows::take`]): the dense store indexes the
+//! row once, the sparse store probes its map once (DESIGN.md §7.9).
 
 use std::collections::hash_map::Entry;
 
@@ -20,89 +22,21 @@ use crate::slab::ValueSlab;
 /// Presence-word flag: the activation is on the engine's ready queue.
 pub const IN_QUEUE: u64 = 1 << 63;
 
-/// Token storage for one node, keyed by tag.
-pub struct TokenStore(Repr);
+/// Token storage for one node, keyed by tag. Implementations supply the
+/// row lookup; the delivery/firing contract is written once, on top of it.
+pub trait Rows {
+    /// Resolves `tag`'s row once — indexing an array or probing a map — and
+    /// runs `f` on its presence word and port values; `None` for a tag the
+    /// store cannot hold. A row whose word `f` leaves zero holds no tokens.
+    fn row<R>(&mut self, tag: u64, f: impl FnOnce(&mut u64, &mut [Value]) -> R) -> Option<R>;
 
-enum Repr {
-    Dense {
-        n_ports: usize,
-        present: Vec<u64>,
-        vals: Vec<Value>,
-    },
-    /// Keys are engine-generated tag counters (never adversarial), so the
-    /// map hashes with `FxHasher` rather than SipHash; rows live in a
-    /// pooled [`ValueSlab`] so steady-state token match/clear never touches
-    /// the allocator.
-    Sparse {
-        map: FxHashMap<u64, SparseSlot>,
-        slab: ValueSlab,
-    },
-}
+    /// The presence word under `tag` (0 for a tag the store does not hold:
+    /// a corrupted dynamic tag must surface as [`SimError::TagOverflow`]
+    /// from [`Rows::put`], not as an index fault).
+    fn present(&self, tag: u64) -> u64;
 
-struct SparseSlot {
-    present: u64,
-    /// Row handle into the store's [`ValueSlab`].
-    row: u32,
-}
-
-/// [`TokenStore::row`] for a sparse store: one map probe. A row exists
-/// exactly while its presence word is nonzero — it is acquired on demand and
-/// released as soon as `f` leaves the word zero.
-#[inline]
-fn sparse_row<R>(
-    map: &mut FxHashMap<u64, SparseSlot>,
-    slab: &mut ValueSlab,
-    tag: u64,
-    f: impl FnOnce(&mut u64, &mut [Value]) -> R,
-) -> R {
-    match map.entry(tag) {
-        Entry::Occupied(mut e) => {
-            let slot = e.get_mut();
-            let r = f(&mut slot.present, slab.row_mut(slot.row));
-            if slot.present == 0 {
-                slab.release(e.remove().row);
-            }
-            r
-        }
-        Entry::Vacant(e) => {
-            let (mut present, row) = (0, slab.acquire());
-            let r = f(&mut present, slab.row_mut(row));
-            if present == 0 {
-                slab.release(row);
-            } else {
-                e.insert(SparseSlot { present, row });
-            }
-            r
-        }
-    }
-}
-
-impl TokenStore {
-    /// A directly-indexed store of `tags` rows of `n_ports` values.
-    pub fn dense(n_ports: usize, tags: usize) -> Self {
-        TokenStore(Repr::Dense { n_ports, present: vec![0; tags], vals: vec![0; tags * n_ports] })
-    }
-
-    /// An associative store for unbounded tags.
-    pub fn sparse(n_ports: usize) -> Self {
-        TokenStore(Repr::Sparse { map: FxHashMap::default(), slab: ValueSlab::new(n_ports) })
-    }
-
-    /// Resolves `tag`'s row once — indexing the dense arrays or probing the
-    /// map — and runs `f` on its presence word and port values; `None` for
-    /// a tag outside a dense store. The dense arm is forced inline into the
-    /// engine's loop; the map probe stays a call.
-    #[inline(always)]
-    fn row<R>(&mut self, tag: u64, f: impl FnOnce(&mut u64, &mut [Value]) -> R) -> Option<R> {
-        match &mut self.0 {
-            Repr::Dense { n_ports, present, vals } => {
-                let t = tag as usize;
-                let word = present.get_mut(t)?;
-                Some(f(word, &mut vals[t * *n_ports..(t + 1) * *n_ports]))
-            }
-            Repr::Sparse { map, slab } => Some(sparse_row(map, slab, tag, f)),
-        }
-    }
+    /// Rows the store can hold (`usize::MAX` when unbounded).
+    fn capacity(&self) -> usize;
 
     /// Delivers a token: writes `val` to `port` under `tag`, sets its
     /// presence bit, and sets [`IN_QUEUE`] if that completes the `enqueue`
@@ -111,11 +45,11 @@ impl TokenStore {
     ///
     /// # Errors
     ///
-    /// [`SimError::TagOverflow`] with the store's size for a tag outside a
-    /// dense store, and with `usize::MAX` for a second token on an occupied
+    /// [`SimError::TagOverflow`] with the store's capacity for a tag it
+    /// cannot hold, and with `usize::MAX` for a second token on an occupied
     /// port — the cardinal tagged-dataflow invariant (Theorem 2's premise).
     #[inline]
-    pub fn put(
+    fn put(
         &mut self,
         tag: u64,
         port: u16,
@@ -136,7 +70,7 @@ impl TokenStore {
             vals[port as usize] = val;
             Ok((before, after))
         });
-        put.unwrap_or_else(|| Err(SimError::TagOverflow { tag, space: self.rows() }))
+        put.unwrap_or_else(|| Err(SimError::TagOverflow { tag, space: self.capacity() }))
     }
 
     /// Fires an activation: moves the tokens on the ports in `mask` out of
@@ -145,7 +79,7 @@ impl TokenStore {
     /// [`IN_QUEUE`]. Returns the presence word before the clear (0 for a
     /// tag the store does not hold).
     #[inline]
-    pub fn take(&mut self, tag: u64, mask: u64, out: &mut [Value]) -> u64 {
+    fn take(&mut self, tag: u64, mask: u64, out: &mut [Value]) -> u64 {
         let taken = self.row(tag, |word, vals| {
             let before = *word;
             *word = before & !(mask | IN_QUEUE);
@@ -159,39 +93,147 @@ impl TokenStore {
         taken.unwrap_or(0)
     }
 
-    /// The presence word under `tag` (0 for a tag the store does not hold:
-    /// a corrupted dynamic tag must surface as [`SimError::TagOverflow`]
-    /// from [`TokenStore::put`], not as an index fault).
-    #[inline]
-    pub fn present(&self, tag: u64) -> u64 {
-        match &self.0 {
-            Repr::Dense { present, .. } => present.get(tag as usize).copied().unwrap_or(0),
-            Repr::Sparse { map, .. } => map.get(&tag).map_or(0, |s| s.present),
-        }
-    }
-
     /// Sets `flags` in `tag`'s presence word.
     #[inline]
-    pub fn or_flags(&mut self, tag: u64, flags: u64) {
+    fn or_flags(&mut self, tag: u64, flags: u64) {
         self.row(tag, |word, _| *word |= flags);
     }
 
     /// Clears `bits` in `tag`'s presence word; returns the word afterwards.
     #[inline]
-    pub fn clear(&mut self, tag: u64, bits: u64) -> u64 {
+    fn clear(&mut self, tag: u64, bits: u64) -> u64 {
         let cleared = self.row(tag, |word, _| {
             *word &= !bits;
             *word
         });
         cleared.unwrap_or(0)
     }
+}
 
-    /// Rows a dense store holds; `usize::MAX` for a sparse one.
-    fn rows(&self) -> usize {
-        match &self.0 {
-            Repr::Dense { present, .. } => present.len(),
-            Repr::Sparse { .. } => usize::MAX,
+/// A directly-indexed store of a fixed number of rows: bounded tag spaces.
+pub struct DenseRows {
+    n_ports: usize,
+    present: Vec<u64>,
+    vals: Vec<Value>,
+}
+
+impl DenseRows {
+    /// `tags` rows of `n_ports` values.
+    pub fn new(n_ports: usize, tags: usize) -> Self {
+        DenseRows { n_ports, present: vec![0; tags], vals: vec![0; tags * n_ports] }
+    }
+}
+
+impl Rows for DenseRows {
+    /// Forced inline into the engine's loop: the index is the whole lookup.
+    #[inline(always)]
+    fn row<R>(&mut self, tag: u64, f: impl FnOnce(&mut u64, &mut [Value]) -> R) -> Option<R> {
+        let t = tag as usize;
+        let word = self.present.get_mut(t)?;
+        Some(f(word, &mut self.vals[t * self.n_ports..(t + 1) * self.n_ports]))
+    }
+
+    #[inline]
+    fn present(&self, tag: u64) -> u64 {
+        self.present.get(tag as usize).copied().unwrap_or(0)
+    }
+
+    fn capacity(&self) -> usize {
+        self.present.len()
+    }
+}
+
+/// Port values a [`SparseRows`] slot holds inline.
+const INLINE_PORTS: usize = 2;
+
+/// An associative store for unbounded tags. Keys are engine-generated tag
+/// counters (never adversarial), so the map hashes with `FxHasher` rather
+/// than SipHash. A slot is the presence word and the port values, so a
+/// token's match touches one map entry and nothing else; a node wider than
+/// two ports keeps its values in a pooled [`ValueSlab`] row instead,
+/// whose handle sits in the slot's first value. A slot (and its slab row)
+/// exists exactly while its presence word is nonzero.
+pub struct SparseRows {
+    map: FxHashMap<u64, (u64, [Value; INLINE_PORTS])>,
+    /// Rows of a node wider than [`INLINE_PORTS`]; `None` keeps them inline.
+    wide: Option<ValueSlab>,
+}
+
+impl SparseRows {
+    /// An empty store for a node with `n_ports` input ports.
+    pub fn new(n_ports: usize) -> Self {
+        let wide = (n_ports > INLINE_PORTS).then(|| ValueSlab::new(n_ports));
+        SparseRows { map: FxHashMap::default(), wide }
+    }
+}
+
+/// [`SparseRows::row`] for a node wider than [`INLINE_PORTS`]: the slot's
+/// first value is the handle of the slab row holding the port values.
+#[cold]
+fn wide_row<R>(
+    map: &mut FxHashMap<u64, (u64, [Value; INLINE_PORTS])>,
+    slab: &mut ValueSlab,
+    tag: u64,
+    f: impl FnOnce(&mut u64, &mut [Value]) -> R,
+) -> R {
+    match map.entry(tag) {
+        Entry::Occupied(mut e) => {
+            let (word, handle) = e.get_mut();
+            let row = handle[0] as u32;
+            let r = f(word, slab.row_mut(row));
+            if *word == 0 {
+                e.remove();
+                slab.release(row);
+            }
+            r
         }
+        Entry::Vacant(e) => {
+            let (mut word, row) = (0, slab.acquire());
+            let r = f(&mut word, slab.row_mut(row));
+            if word == 0 {
+                slab.release(row);
+            } else {
+                e.insert((word, [row as Value, 0]));
+            }
+            r
+        }
+    }
+}
+
+impl Rows for SparseRows {
+    /// One map probe; the last `take` of a row both finds and erases it.
+    #[inline]
+    fn row<R>(&mut self, tag: u64, f: impl FnOnce(&mut u64, &mut [Value]) -> R) -> Option<R> {
+        if let Some(slab) = &mut self.wide {
+            return Some(wide_row(&mut self.map, slab, tag, f));
+        }
+        Some(match self.map.entry(tag) {
+            Entry::Occupied(mut e) => {
+                let (word, vals) = e.get_mut();
+                let r = f(word, vals);
+                if *word == 0 {
+                    e.remove();
+                }
+                r
+            }
+            Entry::Vacant(e) => {
+                let (mut word, mut vals) = (0, [0; INLINE_PORTS]);
+                let r = f(&mut word, &mut vals);
+                if word != 0 {
+                    e.insert((word, vals));
+                }
+                r
+            }
+        })
+    }
+
+    #[inline]
+    fn present(&self, tag: u64) -> u64 {
+        self.map.get(&tag).map_or(0, |s| s.0)
+    }
+
+    fn capacity(&self) -> usize {
+        usize::MAX
     }
 }
 
@@ -201,14 +243,16 @@ mod tests {
 
     use super::*;
 
-    const PORTS: usize = 4;
+    /// Widest row under test; a store of width `w` is driven on ports
+    /// `0..w` only.
+    const MAX_PORTS: usize = 5;
     /// Rows of the dense store under test; tags up to `ROWS + 1` are drawn.
     const ROWS: u64 = 6;
     const UNTOUCHED: Value = -77;
 
     /// The obviously-correct model: tag -> (presence word, port values),
     /// holding an entry exactly while the word is nonzero.
-    type Model = BTreeMap<u64, (u64, [Value; PORTS])>;
+    type Model = BTreeMap<u64, (u64, [Value; MAX_PORTS])>;
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -218,20 +262,29 @@ mod tests {
     }
 
     /// Drives `store` and the model with the same random `put`/`take`/flag
-    /// sequence and compares every return value and, after every step, every
-    /// presence word. `rows` is the dense capacity (`None` for sparse).
-    fn differential(mut store: TokenStore, rows: Option<u64>) {
+    /// sequence on ports `0..width` and compares every return value and,
+    /// after every step, every presence word. `rows` is the dense capacity
+    /// (`None` for sparse); `held` reports, for a sparse store, how many
+    /// slots and slab rows it holds, which must both equal the model's
+    /// entry count (the slab count is 0 for inline rows).
+    fn differential<S: Rows>(
+        mut store: S,
+        width: usize,
+        rows: Option<u64>,
+        held: impl Fn(&S) -> Option<(usize, usize)>,
+    ) {
         let mut model = Model::new();
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ width as u64;
         let in_range = |tag: u64| rows.is_none_or(|r| tag < r);
+        let ports = (1u64 << width) - 1;
         let (mut overflows, mut duplicates, mut releases) = (0, 0, 0);
         for _ in 0..40_000 {
             let tag = xorshift(&mut rng) % (ROWS + 2);
             match xorshift(&mut rng) % 6 {
                 0..=2 => {
-                    let port = (xorshift(&mut rng) % PORTS as u64) as u16;
+                    let port = (xorshift(&mut rng) % width as u64) as u16;
                     let val = xorshift(&mut rng) as Value;
-                    let enqueue = [0b0111, 0, u64::MAX][(xorshift(&mut rng) % 3) as usize];
+                    let enqueue = [ports, 0, u64::MAX][(xorshift(&mut rng) % 3) as usize];
                     let got = store.put(tag, port, val, enqueue);
                     let word = model.get(&tag).map_or(0, |e| e.0);
                     if !in_range(tag) {
@@ -247,15 +300,15 @@ mod tests {
                             after |= IN_QUEUE;
                         }
                         assert_eq!(got, Ok((word, after)));
-                        let e = model.entry(tag).or_insert((0, [0; PORTS]));
+                        let e = model.entry(tag).or_insert((0, [0; MAX_PORTS]));
                         (e.0, e.1[port as usize]) = (after, val);
                     }
                 }
                 3 => {
-                    let mask = xorshift(&mut rng) % (1 << PORTS);
+                    let mask = xorshift(&mut rng) & ports;
                     let mut out = [UNTOUCHED; 3];
                     let before = store.take(tag, mask, &mut out);
-                    let (word, vals) = model.get(&tag).copied().unwrap_or((0, [0; PORTS]));
+                    let (word, vals) = model.get(&tag).copied().unwrap_or((0, [0; MAX_PORTS]));
                     assert_eq!(before, word);
                     for (p, o) in out.iter().enumerate() {
                         if mask >> p & 1 == 0 {
@@ -272,13 +325,13 @@ mod tests {
                     let flags = [1 << 62, 1 << 61, IN_QUEUE][(xorshift(&mut rng) % 3) as usize];
                     store.or_flags(tag, flags);
                     if in_range(tag) {
-                        model.entry(tag).or_insert((0, [0; PORTS])).0 |= flags;
+                        model.entry(tag).or_insert((0, [0; MAX_PORTS])).0 |= flags;
                     }
                 }
                 _ => {
                     let bits = xorshift(&mut rng) | xorshift(&mut rng);
                     let now = store.clear(tag, bits);
-                    let e = model.entry(tag).or_insert((0, [0; PORTS]));
+                    let e = model.entry(tag).or_insert((0, [0; MAX_PORTS]));
                     e.0 &= !bits;
                     assert_eq!(now, e.0);
                 }
@@ -289,24 +342,34 @@ mod tests {
             for t in 0..ROWS + 2 {
                 assert_eq!(store.present(t), model.get(&t).map_or(0, |e| e.0), "tag {t}");
             }
-            if let Repr::Sparse { map, slab } = &store.0 {
-                // A slab row is held exactly while its presence word is
-                // nonzero: released the moment it reaches zero.
-                assert_eq!(map.len(), model.len());
-                assert_eq!(slab.rows_allocated() - slab.rows_free(), model.len());
+            if let Some((slots, slab_rows)) = held(&store) {
+                // A row is held exactly while its presence word is nonzero:
+                // released the moment it reaches zero.
+                assert_eq!(slots, model.len());
+                assert_eq!(slab_rows, if width > INLINE_PORTS { model.len() } else { 0 });
             }
         }
         assert!(duplicates > 100 && releases > 100, "the sequence must exercise both");
         assert_eq!(overflows > 0, rows.is_some());
     }
 
-    #[test]
-    fn dense_store_matches_the_reference_model() {
-        differential(TokenStore::dense(PORTS, ROWS as usize), Some(ROWS));
+    fn sparse_holds(s: &SparseRows) -> Option<(usize, usize)> {
+        let slab_rows = s.wide.as_ref().map_or(0, |w| w.rows_allocated() - w.rows_free());
+        Some((s.map.len(), slab_rows))
     }
 
     #[test]
+    fn dense_store_matches_the_reference_model() {
+        for width in [1, 2, 3, MAX_PORTS] {
+            differential(DenseRows::new(width, ROWS as usize), width, Some(ROWS), |_| None);
+        }
+    }
+
+    /// Widths 1 and 2 keep their values in the slot, 3 and 5 in the slab.
+    #[test]
     fn sparse_store_matches_the_reference_model() {
-        differential(TokenStore::sparse(PORTS), None);
+        for width in [1, 2, 3, MAX_PORTS] {
+            differential(SparseRows::new(width), width, None, sparse_holds);
+        }
     }
 }

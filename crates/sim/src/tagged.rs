@@ -35,7 +35,7 @@ use crate::fault::FaultPlan;
 use crate::mem::MemPort;
 use crate::plan::{Edge, Op, Plan, PlanNode};
 use crate::result::{Outcome, RunResult, SimError};
-use crate::store::{TokenStore, IN_QUEUE};
+use crate::store::{DenseRows, Rows, SparseRows, IN_QUEUE};
 use crate::watchdog::Watchdog;
 
 /// Presence-word flags beside [`IN_QUEUE`]: the activation is parked on a
@@ -185,7 +185,19 @@ enum Backend {
 /// The tagged-dataflow engine. Construct with [`TaggedEngine::new`] (no
 /// observability, zero overhead) or [`TaggedEngine::with_probe`], run with
 /// [`TaggedEngine::run`].
-pub struct TaggedEngine<'a, P: Probe = NoProbe> {
+pub struct TaggedEngine<'a, P: Probe = NoProbe>(Kind<'a, P>);
+
+/// The engine's machine state over the token-store representation its tag
+/// policy needs, chosen once per run so that no token pays for the other.
+enum Kind<'a, P: Probe> {
+    /// Bounded tag spaces (`Local`, `GlobalBounded`).
+    Dense(Machine<'a, P, DenseRows>),
+    /// Unbounded tags (`GlobalUnbounded`).
+    Sparse(Machine<'a, P, SparseRows>),
+}
+
+/// Everything one run mutates, generic over the token store `S`.
+struct Machine<'a, P: Probe, S: Rows> {
     /// The graph, for cold paths only (labels, faults, reports); the hot
     /// loop reads `plan`.
     dfg: &'a Dfg,
@@ -194,7 +206,7 @@ pub struct TaggedEngine<'a, P: Probe = NoProbe> {
     cfg: TaggedConfig,
     /// Token storage per node: TYR's bounded local tag spaces permit small
     /// dense arrays, unbounded tags force an associative store.
-    store: Vec<TokenStore>,
+    store: Vec<S>,
     backend: Backend,
     ready: VecDeque<(u32, u64)>,
     emissions: Vec<(PortRef, u64, Value)>,
@@ -258,7 +270,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                 .max(1)
         };
 
-        let (backend, store): (Backend, Vec<TokenStore>) = match &cfg.tag_policy {
+        // Bounded policies get dense stores, `None` is the unbounded policy.
+        let (backend, dense): (Backend, Option<Vec<DenseRows>>) = match &cfg.tag_policy {
             TagPolicy::Local { default_tags, overrides } => {
                 let root = dfg.node(dfg.source).block;
                 let sizes: Vec<usize> = dfg
@@ -276,27 +289,56 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     })
                     .collect();
                 let pending = vec![VecDeque::new(); sizes.len()];
-                let rows = |n: &Node| TokenStore::dense(n.ins.len(), sizes[n.block.0 as usize]);
+                let rows = |n: &Node| DenseRows::new(n.ins.len(), sizes[n.block.0 as usize]);
                 let store = dfg.nodes.iter().map(rows).collect();
-                (Backend::Local { free, pending }, store)
+                (Backend::Local { free, pending }, Some(store))
             }
             TagPolicy::GlobalBounded { tags } => {
                 let t = (*tags).max(1);
                 // Tags 1..=t are the pool; the root context owns tag 0.
                 let free: Vec<u64> = (1..=t as u64).rev().collect();
-                let store =
-                    dfg.nodes.iter().map(|n| TokenStore::dense(n.ins.len(), t + 1)).collect();
-                (Backend::Global { free, pending: VecDeque::new() }, store)
+                let store = dfg.nodes.iter().map(|n| DenseRows::new(n.ins.len(), t + 1)).collect();
+                (Backend::Global { free, pending: VecDeque::new() }, Some(store))
             }
-            TagPolicy::GlobalUnbounded => {
-                let store = dfg.nodes.iter().map(|n| TokenStore::sparse(n.ins.len())).collect();
-                (Backend::Unbounded { next: 1 }, store)
-            }
+            TagPolicy::GlobalUnbounded => (Backend::Unbounded { next: 1 }, None),
         };
+        TaggedEngine(match dense {
+            Some(store) => Kind::Dense(Machine::new(dfg, mem, cfg, probe, backend, store)),
+            None => {
+                let store = dfg.nodes.iter().map(|n| SparseRows::new(n.ins.len())).collect();
+                Kind::Sparse(Machine::new(dfg, mem, cfg, probe, backend, store))
+            }
+        })
+    }
 
-        // Per-response extra delays (the mem-delay fault) break the timing
-        // wheel's constant-latency invariant; fall back to the ordered FIFO
-        // whenever that fault class is armed.
+    /// Runs the program to completion, deadlock, or fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] on simulated-program faults (memory, divide),
+    /// the cycle limit, internal invariant violations, or a graph the token
+    /// store cannot hold ([`SimError::TooManyInputs`]: a node with more than
+    /// 48 wired inputs). Deadlock is *not* an error: it is reported via
+    /// [`Outcome::Deadlock`].
+    pub fn run(self) -> Result<RunResult, SimError> {
+        match self.0 {
+            Kind::Dense(machine) => machine.run(),
+            Kind::Sparse(machine) => machine.run(),
+        }
+    }
+}
+
+impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
+    fn new(
+        dfg: &'a Dfg,
+        mem: MemoryImage,
+        cfg: TaggedConfig,
+        probe: P,
+        backend: Backend,
+        store: Vec<S>,
+    ) -> Self {
+        // Per-response extra delays (the mem-delay fault) must keep the
+        // front-gated FIFO's delivery order, which fault runs pin.
         let arms_mem_delay = cfg
             .faults
             .as_ref()
@@ -312,7 +354,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         };
         let core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
         let blocks = dfg.blocks.len();
-        TaggedEngine {
+        Machine {
             dfg,
             plan: Plan::compile(dfg),
             mem,
@@ -332,16 +374,8 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         }
     }
 
-    /// Runs the program to completion, deadlock, or fault.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on simulated-program faults (memory, divide),
-    /// the cycle limit, internal invariant violations, or a graph the token
-    /// store cannot hold ([`SimError::TooManyInputs`]: a node with more than
-    /// 48 wired inputs). Deadlock is *not* an error: it is reported via
-    /// [`Outcome::Deadlock`].
-    pub fn run(mut self) -> Result<RunResult, SimError> {
+    /// [`TaggedEngine::run`] on this store representation.
+    fn run(mut self) -> Result<RunResult, SimError> {
         if let Some(count) = self.plan.too_wide {
             return Err(SimError::TooManyInputs { count });
         }
@@ -479,7 +513,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
     }
 
     /// The highest cycle the event core may jump to without skipping a
-    /// cycle on which [`TaggedEngine::fault_exhaust_tags`] could draw from
+    /// cycle on which [`Machine::fault_exhaust_tags`] could draw from
     /// the fault PRNG. Outside the plan window (and once the fault has
     /// struck or its budget is spent) no candidate cycle draws, so jumps
     /// are unbounded; before the window the clock may advance to its start;
@@ -1173,6 +1207,34 @@ mod tests {
             run_with(&p, TaggingDiscipline::UnorderedUnbounded, TagPolicy::GlobalUnbounded, 100);
         assert!(r.is_complete());
         assert_eq!(r.returns, vec![4950]);
+    }
+
+    #[test]
+    fn unordered_runs_nodes_wider_than_inline_rows() {
+        // A loop-carried `select` and a three-value return give the
+        // unbounded graph three-port nodes, whose sparse rows live in the
+        // slab rather than inline.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.func("main", 1);
+        let n = f.param(0);
+        let [i, acc, hi] = f.begin_loop("walk", [0.into(), 0.into(), n]);
+        let c = f.lt(i, hi);
+        f.begin_body(c);
+        let odd = f.op(tyr_ir::AluOp::And, i, 1);
+        let step = f.select(odd, i, acc);
+        let acc2 = f.add(acc, step);
+        let i2 = f.add(i, 1);
+        let [total, last] = f.end_loop([i2, acc2, hi], [acc, i]);
+        let p = pb.finish(f, [total, last, n]);
+
+        let dfg = lower_tagged(&p, TaggingDiscipline::UnorderedUnbounded).unwrap();
+        let wide = dfg.nodes.iter().filter(|n| n.ins.len() > 2).count();
+        assert!(wide >= 2, "select and sink are three-port nodes");
+        let mut mem = MemoryImage::new();
+        let oracle = interp::run(&p, &mut mem, &[40]).unwrap();
+        let r = run_with(&p, TaggingDiscipline::UnorderedUnbounded, TagPolicy::GlobalUnbounded, 40);
+        assert!(r.is_complete(), "{:?}", r.outcome);
+        assert_eq!(r.returns, oracle.returns);
     }
 
     #[test]
