@@ -1,555 +1,342 @@
-//! `repro bench` — the persisted performance baseline.
+//! `repro bench` — the small-scale simulated anchor for Figs. 12–14.
 //!
-//! Runs the full `(kernel, system)` suite grid, records wall-time together
-//! with the simulated `cycles` and `dyn_instrs` of every cell, and writes a
-//! schema-stable `BENCH_suite.json`. The committed copy is the repo's perf
-//! trajectory: future changes to the engines re-run `repro bench` and diff
-//! against it.
+//! Runs the full `(kernel, system)` suite grid and writes every cell's
+//! simulated `cycles`, `dyn_instrs` and `skipped_cycles` under a header that
+//! records every run parameter those numbers depend on. The file holds no
+//! host measurements (`benchmarks/` owns wall time), so it is a pure function
+//! of its header: the same bytes for any `--jobs` and on any host.
 //!
-//! Schema (`tyr-bench-suite/v1`):
+//! Schema (`tyr-bench-suite/v2`), one entry per line so that `git diff`
+//! names the cell that moved:
 //!
-//! ```json
-//! {
-//!   "schema": "tyr-bench-suite/v1",
-//!   "scale": "tiny", "seed": 1,
-//!   "issue_width": 128, "tags": 64, "jobs": 2,
-//!   "total_wall_ms": 123.4,
-//!   "entries": [
-//!     {"kernel": "dmv", "system": "seq-vN",
-//!      "cycles": 1538, "dyn_instrs": 1537, "wall_ms": 0.8},
-//!     ...
-//!   ]
-//! }
+//! ```text
+//! {"schema":"tyr-bench-suite/v2","scale":"small","seed":1,"issue_width":128,"tags":64,"queue_depth":4,"event_driven":true,"mem":"ideal:1","entries":[
+//! {"kernel":"dmv","system":"seq-vN","cycles":657410,"dyn_instrs":657410,"skipped_cycles":0},
+//! ...
+//! ]}
 //! ```
 //!
-//! `entries` holds exactly one object per (kernel, system) pair —
-//! 7 kernels × 5 systems — in kernel-major, paper-presentation order.
-//! `cycles` and `dyn_instrs` are deterministic (they come from the
-//! simulators, whose results are oracle-checked); the `*_wall_ms` fields
-//! are the only machine-dependent values.
+//! `entries` holds one object per (kernel, system) pair — 7 kernels × 5
+//! systems — in kernel-major, paper-presentation order. `mem` is
+//! [`MemConfig::label`], which [`MemConfig::parse`] reads back.
 //!
-//! Each cell is run [`WALL_REPS`] times into a log-bucketed
-//! [`LogHistogram`] of whole microseconds; `wall_ms` is the median rep, and
-//! the optional `wall_p50_ms`/`wall_p99_ms` fields expose the dispersion.
-//! The optional `skipped_cycles` field records how many of the cell's
-//! cycles the event-driven core jumped over instead of ticking (always 0
-//! for the sequential engines and for `--ticked` runs); it is a wall-clock
-//! diagnostic and never affects `cycles`/`dyn_instrs`. The schema stays
-//! `tyr-bench-suite/v1`: [`validate`] accepts baselines with or without
-//! the optional fields, so committed baselines from before they existed
-//! keep validating.
-//!
-//! [`validate`] is the schema gate `ci.sh` runs against both the emitted
-//! file and the committed baseline; `bench-check --sim-exact` additionally
-//! re-runs the committed baseline's cells and fails unless every
-//! `cycles`/`dyn_instrs` is reproduced exactly.
+//! [`check_file`] (`repro bench-check FILE`) rebuilds the run parameters from
+//! the header alone, regenerates the document and requires a byte-for-byte
+//! match; on a mismatch it names every drifted, missing, duplicate or
+//! unknown cell.
 
 use std::path::Path;
-use std::time::Instant;
 
+use tyr_sim::MemConfig;
 use tyr_stats::json::{self, Json};
-use tyr_stats::LogHistogram;
-use tyr_workloads::{suite, Scale, Workload, APP_NAMES};
+use tyr_workloads::{suite, Scale};
 
 use crate::figures::Ctx;
 use crate::{pool, run_system, RunConfig, System};
 
 /// The schema identifier written to and required of every baseline file.
-pub const SCHEMA: &str = "tyr-bench-suite/v1";
+pub const SCHEMA: &str = "tyr-bench-suite/v2";
 
-/// Wall-clock repetitions per grid cell. The simulated `cycles` and
-/// `dyn_instrs` are deterministic, so only the first rep's result is kept;
-/// the extra reps exist purely to give the per-cell latency histogram
-/// something to disperse over.
-pub const WALL_REPS: usize = 3;
+/// The simulated counts of one cell, in the order the file writes them.
+const COUNTS: [&str; 3] = ["cycles", "dyn_instrs", "skipped_cycles"];
 
-/// Runs the suite benchmark and writes the baseline to `out`.
-///
-/// The emitted document is validated with [`validate`] before it is
-/// written, so a schema violation can never reach disk (or CI).
-///
-/// # Errors
-///
-/// Returns a message if self-validation fails or the file cannot be
-/// written. Simulation faults and oracle mismatches panic, as everywhere
-/// else in the harness — a perf baseline over wrong results is worthless.
-pub fn run(ctx: &Ctx, out: &Path) -> Result<(), String> {
-    eprintln!(
-        "benchmarking the {} suite on all five systems ({} jobs)...",
-        ctx.scale_label(),
-        ctx.jobs
-    );
+/// One grid cell: kernel, system label and its [`COUNTS`].
+#[derive(Debug, Clone, PartialEq)]
+struct Cell {
+    kernel: String,
+    system: String,
+    counts: [u64; 3],
+}
+
+/// Runs the grid under `ctx`, in kernel-major order.
+fn cells(ctx: &Ctx) -> Vec<Cell> {
     let workloads = suite(ctx.scale, ctx.seed);
-    let grid: Vec<(String, (&Workload, System))> = workloads
+    let grid = workloads
         .iter()
         .flat_map(|w| System::ALL.map(|sys| (format!("{} on {}", w.name, sys.label()), (w, sys))))
         .collect();
-    let t0 = Instant::now();
-    let cells = pool::parallel_map_labeled(ctx.jobs, grid, |(w, sys)| {
-        let mut wall = LogHistogram::new();
-        let mut result = None;
-        for _ in 0..WALL_REPS {
-            let start = Instant::now();
-            let r = run_system(w, sys, &ctx.cfg);
-            wall.record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            result.get_or_insert(r);
+    pool::parallel_map_labeled(ctx.jobs, grid, |(w, sys)| {
+        let r = run_system(w, sys, &ctx.cfg);
+        Cell {
+            kernel: w.name.clone(),
+            system: sys.label().into(),
+            counts: [r.cycles(), r.dyn_instrs(), r.skipped_cycles],
         }
-        let r = result.expect("WALL_REPS >= 1");
-        let (p50, _, p99) = wall.percentiles();
-        Json::Obj(vec![
-            ("kernel".into(), json::str(&w.name)),
-            ("system".into(), json::str(sys.label())),
-            ("cycles".into(), json::num(r.cycles())),
-            ("dyn_instrs".into(), json::num(r.dyn_instrs())),
-            ("wall_ms".into(), Json::Num(round3(p50 as f64 / 1e3))),
-            ("wall_p50_ms".into(), Json::Num(round3(p50 as f64 / 1e3))),
-            ("wall_p99_ms".into(), Json::Num(round3(p99 as f64 / 1e3))),
-            ("skipped_cycles".into(), json::num(r.skipped_cycles)),
-        ])
-    });
-    let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    })
+}
 
-    let doc = Json::Obj(vec![
+/// The baseline document: the header and `entries` opener on the first
+/// line, then one entry per line.
+fn render(ctx: &Ctx, cells: &[Cell]) -> String {
+    let c = &ctx.cfg;
+    let mut out = Json::Obj(vec![
         ("schema".into(), json::str(SCHEMA)),
         ("scale".into(), json::str(ctx.scale_label())),
         ("seed".into(), json::num(ctx.seed)),
-        ("issue_width".into(), json::num(ctx.cfg.issue_width as u64)),
-        ("tags".into(), json::num(ctx.cfg.tags as u64)),
-        ("jobs".into(), json::num(ctx.jobs as u64)),
-        ("total_wall_ms".into(), Json::Num(round3(total_wall_ms))),
-        ("entries".into(), Json::Arr(cells)),
-    ]);
-    validate(&doc).map_err(|e| format!("self-validation of the emitted baseline failed: {e}"))?;
-    std::fs::write(out, doc.render() + "\n")
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
-        "wrote {} ({} entries, {:.1} ms total wall, schema {SCHEMA})",
-        out.display(),
-        APP_NAMES.len() * System::ALL.len(),
-        total_wall_ms
-    );
-    // A short human-readable digest so a bench run is useful on its own.
-    for app in APP_NAMES {
-        let find = |sys: System| {
-            doc.get("entries")
-                .and_then(Json::as_arr)
-                .and_then(|es| {
-                    es.iter().find(|e| {
-                        e.get("kernel").and_then(Json::as_str) == Some(app)
-                            && e.get("system").and_then(Json::as_str) == Some(sys.label())
-                    })
-                })
-                .and_then(|e| e.get("cycles"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-        };
-        println!(
-            "  {:<8} TYR {:>12} cycles   unordered {:>12}   ordered {:>12}",
-            app,
-            find(System::Tyr),
-            find(System::Unordered),
-            find(System::Ordered)
-        );
+        ("issue_width".into(), json::num(c.issue_width as u64)),
+        ("tags".into(), json::num(c.tags as u64)),
+        ("queue_depth".into(), json::num(c.queue_depth as u64)),
+        ("event_driven".into(), Json::Bool(c.event_driven)),
+        ("mem".into(), json::str(c.mem.label())),
+    ])
+    .render();
+    out.pop(); // reopen the header object for `entries`
+    out.push_str(",\"entries\":[");
+    for (i, cell) in cells.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let mut entry = vec![
+            ("kernel".into(), json::str(&cell.kernel)),
+            ("system".into(), json::str(&cell.system)),
+        ];
+        entry.extend(COUNTS.iter().zip(cell.counts).map(|(k, n)| (k.to_string(), json::num(n))));
+        out.push_str(&Json::Obj(entry).render());
     }
-    // Skip-rate digest: how much of the suite's simulated time the
-    // event-driven core jumped over instead of ticking.
-    let entries = doc.get("entries").and_then(Json::as_arr).expect("validated above");
-    let sum = |key: &str| -> f64 {
-        entries.iter().filter_map(|e| e.get(key).and_then(Json::as_f64)).sum()
-    };
-    let (cycles, skipped) = (sum("cycles"), sum("skipped_cycles"));
-    if cycles > 0.0 {
+    out.push_str("\n]}\n");
+    out
+}
+
+/// Runs the suite benchmark and writes the baseline to `out`.
+///
+/// # Errors
+///
+/// Returns a message if a run parameter is out of range (a width, tag count
+/// or FIFO depth of 0) or the file cannot be written. Simulation faults and
+/// oracle mismatches panic, as everywhere else in the harness — an anchor
+/// over wrong results is worthless.
+pub fn run(ctx: &Ctx, out: &Path) -> Result<(), String> {
+    // Run under the header's own reading of `ctx`, so that the file's
+    // numbers follow from its header alone.
+    let ctx = header(&Json::parse(&render(ctx, &[]))?, ctx.jobs)?;
+    eprintln!("running the {} suite on all five systems ({} jobs)...", ctx.scale_label(), ctx.jobs);
+    let cells = cells(&ctx);
+    std::fs::write(out, render(&ctx, &cells))
+        .map_err(|e| format!("writing {}: {e}", out.display()))?;
+    println!("wrote {} ({} cells, schema {SCHEMA})", out.display(), cells.len());
+    let (cycles, skipped) =
+        cells.iter().fold((0, 0), |(c, s), x| (c + x.counts[0], s + x.counts[2]));
+    if cycles > 0 {
         println!(
-            "  event core skipped {skipped:.0} of {cycles:.0} simulated cycles ({:.1}%)",
-            100.0 * skipped / cycles
+            "  event core skipped {skipped} of {cycles} simulated cycles ({:.1}%)",
+            100.0 * skipped as f64 / cycles as f64
         );
     }
     Ok(())
 }
 
-/// Validates a baseline file on disk (the `repro bench-check` command —
-/// the CI gate for both the freshly emitted file and the committed
-/// baseline). With `sim_exact` the simulated half of the file is checked
-/// too, not just its shape: every cell is re-run under the scale, seed,
-/// issue width and tag count the header records (everything else — memory
-/// model, jobs — from `ctx`) and its deterministic `cycles`/`dyn_instrs`
-/// must equal the recorded values, so a host-speed change to an engine has
-/// to reproduce the committed file exactly.
+/// Checks a baseline file on disk (`repro bench-check`): re-runs the grid
+/// under the parameters its header records, on `jobs` workers, and requires
+/// the file to be byte-for-byte what `repro bench` writes for that header.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first schema violation, or every cell
-/// whose simulated counts drifted.
-pub fn check_file(ctx: &Ctx, path: &Path, sim_exact: bool) -> Result<(), String> {
+/// Returns a message naming why the file is malformed, or every drifted,
+/// missing, duplicate or unknown cell.
+pub fn check_file(path: &Path, jobs: usize) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    validate(&doc)?;
-    println!("{}: schema {SCHEMA} ok", path.display());
-    if sim_exact {
-        let cells = check_sim_exact(ctx, &doc)?;
-        println!("{}: cycles and dyn_instrs of all {cells} cells reproduced", path.display());
-    }
+    let n = check(&text, jobs).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("{}: all {n} cells reproduced byte for byte (schema {SCHEMA})", path.display());
     Ok(())
 }
 
-/// The `sim_exact` half of [`check_file`] over the validated baseline
-/// `doc`. Returns the number of cells checked.
-///
-/// # Errors
-///
-/// Names every drifted cell with its recorded and observed counts.
-fn check_sim_exact(ctx: &Ctx, doc: &Json) -> Result<usize, String> {
-    let header = |key: &str| doc.get(key).and_then(Json::as_f64).expect("validated") as u64;
-    let scale = match doc.get("scale").and_then(Json::as_str) {
-        Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        Some("paper") => Scale::Paper,
-        other => return Err(format!("cannot re-run scale {other:?}")),
-    };
-    let cfg = RunConfig {
-        issue_width: header("issue_width") as usize,
-        tags: header("tags") as usize,
-        ..ctx.cfg.clone()
-    };
-    let workloads = suite(scale, header("seed"));
-    let entries = doc.get("entries").and_then(Json::as_arr).expect("validated");
-    fn name<'a>(e: &'a Json, key: &str) -> &'a str {
-        e.get(key).and_then(Json::as_str).expect("validated")
+/// [`check_file`] over the file's text. Returns the number of cells.
+fn check(text: &str, jobs: usize) -> Result<usize, String> {
+    let doc = Json::parse(text)?;
+    let ctx = header(&doc, jobs)?;
+    let recorded = entries(&doc)?;
+    let want = cells(&ctx);
+    let expect = render(&ctx, &want);
+    if text == expect {
+        return Ok(want.len());
     }
-    let cells: Vec<(String, &Json)> = entries
-        .iter()
-        .map(|e| (format!("{} on {}", name(e, "kernel"), name(e, "system")), e))
-        .collect();
-    let drift: Vec<String> = pool::parallel_map_labeled(ctx.jobs, cells, |e| {
-        let count = |key: &str| e.get(key).and_then(Json::as_f64).expect("validated") as u64;
-        let w = workloads.iter().find(|w| w.name == name(e, "kernel")).expect("validated");
-        let sys = System::ALL.into_iter().find(|s| s.label() == name(e, "system"));
-        let r = run_system(w, sys.expect("validated"), &cfg);
-        let (want, got) = ([count("cycles"), count("dyn_instrs")], [r.cycles(), r.dyn_instrs()]);
-        (got != want)
-            .then(|| format!("{} on {}: recorded {want:?}, now {got:?}", w.name, name(e, "system")))
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    if drift.is_empty() {
-        Ok(entries.len())
-    } else {
-        Err(format!("simulated [cycles, dyn_instrs] drifted:\n  {}", drift.join("\n  ")))
+    let same = |a: &Cell, b: &Cell| a.kernel == b.kernel && a.system == b.system;
+    let mut problems = Vec::new();
+    for (i, r) in recorded.iter().enumerate() {
+        let name = format!("{} on {}", r.kernel, r.system);
+        match want.iter().find(|w| same(w, r)) {
+            None => problems.push(format!("unknown cell {name}")),
+            Some(_) if recorded[..i].iter().any(|p| same(p, r)) => {
+                problems.push(format!("duplicate cell {name}"))
+            }
+            Some(w) if w.counts != r.counts => {
+                problems.push(format!("{name}: recorded {:?}, now {:?}", r.counts, w.counts))
+            }
+            Some(_) => {}
+        }
+    }
+    for w in want.iter().filter(|w| !recorded.iter().any(|r| same(r, w))) {
+        problems.push(format!("missing cell {} on {}", w.kernel, w.system));
+    }
+    if problems.is_empty() {
+        let line = text.lines().zip(expect.lines()).take_while(|(a, b)| a == b).count() + 1;
+        problems
+            .push(format!("every cell matches, but line {line} is not what `repro bench` writes"));
+    }
+    Err(format!("[{}] do not reproduce:\n  {}", COUNTS.join(", "), problems.join("\n  ")))
+}
+
+/// A JSON value as an exact non-negative integer.
+fn to_u64(v: Option<&Json>, what: &str) -> Result<u64, String> {
+    match v.and_then(Json::as_f64) {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64 => Ok(n as u64),
+        _ => Err(format!("{what} is missing or not a non-negative integer")),
     }
 }
 
-/// Checks a document against the `tyr-bench-suite/v1` schema: the schema
-/// tag, the header fields, exactly one entry per (kernel, system) pair,
-/// and per-entry field sanity (positive counts, `dyn_instrs` within the
-/// issue-width envelope, entry wall-times within the total, and — when the
-/// optional `wall_p50_ms`/`wall_p99_ms` percentiles are present — that they
-/// are non-negative with `p50 <= p99`).
-///
-/// # Errors
-///
-/// Returns a message naming the first violation.
-pub fn validate(doc: &Json) -> Result<(), String> {
-    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong \"schema\" (want {SCHEMA:?})"));
-    }
-    let req_num = |key: &str| {
+/// The run parameters a baseline's header records, as a context running on
+/// `jobs` workers; everything the header does not record is the default.
+fn header(doc: &Json, jobs: usize) -> Result<Ctx, String> {
+    let text = |key: &str| {
         doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric \"{key}\""))
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("header field \"{key}\" is missing or not a string"))
     };
-    let issue_width = req_num("issue_width")?;
-    req_num("seed")?;
-    req_num("tags")?;
-    req_num("jobs")?;
-    let total_wall = req_num("total_wall_ms")?;
-    if total_wall < 0.0 {
-        return Err("negative total_wall_ms".into());
+    let positive = |key: &str| -> Result<usize, String> {
+        match to_u64(doc.get(key), &format!("header field \"{key}\""))? {
+            0 => Err(format!("header field \"{key}\" must be at least 1")),
+            n => Ok(n as usize),
+        }
+    };
+    if text("schema")? != SCHEMA {
+        return Err(format!("schema {:?} is not {SCHEMA:?}", text("schema")?));
     }
-    if doc.get("scale").and_then(Json::as_str).is_none() {
-        return Err("missing \"scale\"".into());
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing \"entries\" array".to_string())?;
-
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let kernel = e
-            .get("kernel")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("entry {i}: missing \"kernel\""))?;
-        let system = e
-            .get("system")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("entry {i}: missing \"system\""))?;
-        if !APP_NAMES.contains(&kernel) {
-            return Err(format!("entry {i}: unknown kernel {kernel:?}"));
-        }
-        if !System::ALL.iter().any(|s| s.label() == system) {
-            return Err(format!("entry {i}: unknown system {system:?}"));
-        }
-        let field = |key: &str| {
-            e.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("entry {i} ({kernel}/{system}): missing \"{key}\""))
-        };
-        let cycles = field("cycles")?;
-        let dyn_instrs = field("dyn_instrs")?;
-        let wall = field("wall_ms")?;
-        if cycles <= 0.0 || dyn_instrs <= 0.0 {
-            return Err(format!("entry {i} ({kernel}/{system}): non-positive cycles/dyn_instrs"));
-        }
-        if dyn_instrs > cycles * issue_width {
-            return Err(format!(
-                "entry {i} ({kernel}/{system}): dyn_instrs {dyn_instrs} exceeds \
-                 cycles x issue_width = {}",
-                cycles * issue_width
-            ));
-        }
-        if wall < 0.0 || wall > total_wall {
-            return Err(format!(
-                "entry {i} ({kernel}/{system}): wall_ms {wall} outside [0, total_wall_ms]"
-            ));
-        }
-        // The wall-clock percentiles are optional (schema still v1, so
-        // baselines committed before they existed keep validating), but
-        // when present they must be sane.
-        let opt_field = |key: &str| -> Result<Option<f64>, String> {
-            match e.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| format!("entry {i} ({kernel}/{system}): non-numeric \"{key}\"")),
-            }
-        };
-        let p50 = opt_field("wall_p50_ms")?;
-        let p99 = opt_field("wall_p99_ms")?;
-        for (key, v) in [("wall_p50_ms", p50), ("wall_p99_ms", p99)] {
-            if v.is_some_and(|v| v < 0.0) {
-                return Err(format!("entry {i} ({kernel}/{system}): negative \"{key}\""));
-            }
-        }
-        if let (Some(p50), Some(p99)) = (p50, p99) {
-            if p50 > p99 {
-                return Err(format!(
-                    "entry {i} ({kernel}/{system}): wall_p50_ms {p50} exceeds wall_p99_ms {p99}"
-                ));
-            }
-        }
-        // `skipped_cycles` is likewise optional (pre-event-core baselines
-        // keep validating); when present it is a subset of the run's cycles.
-        if let Some(skipped) = opt_field("skipped_cycles")? {
-            if skipped < 0.0 {
-                return Err(format!("entry {i} ({kernel}/{system}): negative \"skipped_cycles\""));
-            }
-            if skipped > cycles {
-                return Err(format!(
-                    "entry {i} ({kernel}/{system}): skipped_cycles {skipped} exceeds cycles {cycles}"
-                ));
-            }
-        }
-        let key = (kernel.to_string(), system.to_string());
-        if seen.contains(&key) {
-            return Err(format!("duplicate entry for ({kernel}, {system})"));
-        }
-        seen.push(key);
-    }
-    for app in APP_NAMES {
-        for sys in System::ALL {
-            if !seen.iter().any(|(k, s)| k == app && s == sys.label()) {
-                return Err(format!("missing entry for ({app}, {})", sys.label()));
-            }
-        }
-    }
-    Ok(())
+    let scale = match text("scale")? {
+        "tiny" => Scale::Tiny,
+        "small" => Scale::Small,
+        "paper" => Scale::Paper,
+        other => return Err(format!("unknown scale {other:?}")),
+    };
+    let Some(Json::Bool(event_driven)) = doc.get("event_driven") else {
+        return Err("header field \"event_driven\" is missing or not a boolean".into());
+    };
+    Ok(Ctx {
+        scale,
+        seed: to_u64(doc.get("seed"), "header field \"seed\"")?,
+        cfg: RunConfig {
+            issue_width: positive("issue_width")?,
+            tags: positive("tags")?,
+            queue_depth: positive("queue_depth")?,
+            mem: MemConfig::parse(text("mem")?)
+                .map_err(|e| format!("header field \"mem\": {e}"))?,
+            event_driven: *event_driven,
+            ..RunConfig::default()
+        },
+        csv_dir: None,
+        jobs,
+    })
 }
 
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
+/// The cells a baseline records, in file order.
+fn entries(doc: &Json) -> Result<Vec<Cell>, String> {
+    let entries = doc.get("entries").and_then(Json::as_arr).ok_or("missing \"entries\" array")?;
+    let cell = |i: usize, e: &Json| -> Result<Cell, String> {
+        let name = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("entry {i}: missing \"{key}\""))
+        };
+        let count = |k: usize| to_u64(e.get(COUNTS[k]), &format!("entry {i}: \"{}\"", COUNTS[k]));
+        Ok(Cell {
+            kernel: name("kernel")?,
+            system: name("system")?,
+            counts: [count(0)?, count(1)?, count(2)?],
+        })
+    };
+    entries.iter().enumerate().map(|(i, e)| cell(i, e)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn minimal_doc() -> Json {
-        let entries = APP_NAMES
-            .iter()
-            .flat_map(|app| {
-                System::ALL.iter().map(move |sys| {
-                    Json::Obj(vec![
-                        ("kernel".into(), json::str(*app)),
-                        ("system".into(), json::str(sys.label())),
-                        ("cycles".into(), json::num(100)),
-                        ("dyn_instrs".into(), json::num(99)),
-                        ("wall_ms".into(), Json::Num(1.5)),
-                    ])
-                })
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), json::str(SCHEMA)),
-            ("scale".into(), json::str("tiny")),
-            ("seed".into(), json::num(1)),
-            ("issue_width".into(), json::num(128)),
-            ("tags".into(), json::num(64)),
-            ("jobs".into(), json::num(2)),
-            ("total_wall_ms".into(), Json::Num(50.0)),
-            ("entries".into(), Json::Arr(entries)),
-        ])
-    }
-
-    fn set(doc: &mut Json, key: &str, v: Json) {
-        let Json::Obj(pairs) = doc else { unreachable!() };
-        if let Some(p) = pairs.iter_mut().find(|(k, _)| k == key) {
-            p.1 = v;
-        }
+    /// A real tiny-scale grid and the context it ran under, as
+    /// `repro --scale tiny bench` writes it.
+    fn tiny() -> (Ctx, Vec<Cell>) {
+        let ctx = Ctx { scale: Scale::Tiny, jobs: 2, ..Ctx::default() };
+        let cells = cells(&ctx);
+        (ctx, cells)
     }
 
     #[test]
     fn well_formed_doc_validates() {
-        validate(&minimal_doc()).unwrap();
+        // The baseline `bench` writes passes its own check, at any job count.
+        let (ctx, cells) = tiny();
+        assert_eq!(check(&render(&ctx, &cells), 1), Ok(35));
     }
 
     #[test]
     fn wrong_schema_tag_rejected() {
-        let mut d = minimal_doc();
-        set(&mut d, "schema", json::str("tyr-bench-suite/v0"));
-        assert!(validate(&d).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn missing_pair_rejected() {
-        let mut d = minimal_doc();
-        let Json::Obj(pairs) = &mut d else { unreachable!() };
-        let entries = pairs.iter_mut().find(|(k, _)| k == "entries").unwrap();
-        let Json::Arr(es) = &mut entries.1 else { unreachable!() };
-        es.pop();
-        assert!(validate(&d).unwrap_err().contains("missing entry"));
-    }
-
-    #[test]
-    fn duplicate_pair_rejected() {
-        let mut d = minimal_doc();
-        let Json::Obj(pairs) = &mut d else { unreachable!() };
-        let entries = pairs.iter_mut().find(|(k, _)| k == "entries").unwrap();
-        let Json::Arr(es) = &mut entries.1 else { unreachable!() };
-        let dup = es[0].clone();
-        es.push(dup);
-        assert!(validate(&d).unwrap_err().contains("duplicate"));
+        let v1 = render(&Ctx::default(), &[]).replace(SCHEMA, "tyr-bench-suite/v1");
+        assert!(check(&v1, 2).unwrap_err().contains("schema \"tyr-bench-suite/v1\""));
+        // A file that is not even an object is a typed error too.
+        assert!(check("[1, 2]", 2).unwrap_err().contains("\"schema\" is missing"));
     }
 
     #[test]
     fn issue_width_envelope_enforced() {
-        let mut d = minimal_doc();
-        set(&mut d, "issue_width", json::num(0));
-        // Now every entry's dyn_instrs (99) exceeds cycles * 0.
-        assert!(validate(&d).unwrap_err().contains("exceeds"));
-    }
-
-    #[test]
-    fn wall_time_outside_total_rejected() {
-        let mut d = minimal_doc();
-        set(&mut d, "total_wall_ms", Json::Num(0.1));
-        assert!(validate(&d).unwrap_err().contains("outside"));
+        // Widths, tag counts and FIFO depths of 0 panic in the engines; the
+        // header rejects them before anything runs.
+        let text = render(&Ctx::default(), &[]);
+        for (key, bad) in [("issue_width", 0.0), ("tags", 0.0), ("queue_depth", 0.0), ("tags", 2.5)]
+        {
+            let text = text.replacen(&format!("\"{key}\":"), &format!("\"{key}\":{bad},\"_\":"), 1);
+            assert!(check(&text, 2).unwrap_err().contains(key), "{key}={bad}");
+        }
+        let text = text.replace("\"mem\":\"ideal:1\"", "\"mem\":\"cached:l1=zzz\"");
+        assert!(check(&text, 2).unwrap_err().contains("bad size"));
     }
 
     #[test]
     fn round_trip_through_text_still_validates() {
-        let d = minimal_doc();
-        let text = d.render();
-        validate(&Json::parse(&text).unwrap()).unwrap();
-    }
-
-    fn set_entry0(doc: &mut Json, key: &str, v: Json) {
-        let Json::Obj(e0) = &mut entries_mut(doc)[0] else { unreachable!() };
-        e0.push((key.into(), v));
-    }
-
-    #[test]
-    fn percentile_fields_are_optional_but_checked() {
-        // minimal_doc has no percentile fields at all: the pre-percentile
-        // baseline shape must keep validating.
-        validate(&minimal_doc()).unwrap();
-
-        let mut with_both = minimal_doc();
-        set_entry0(&mut with_both, "wall_p50_ms", Json::Num(1.2));
-        set_entry0(&mut with_both, "wall_p99_ms", Json::Num(2.4));
-        validate(&with_both).unwrap();
-
-        let mut only_p50 = minimal_doc();
-        set_entry0(&mut only_p50, "wall_p50_ms", Json::Num(1.2));
-        validate(&only_p50).unwrap();
-
-        let mut inverted = minimal_doc();
-        set_entry0(&mut inverted, "wall_p50_ms", Json::Num(3.0));
-        set_entry0(&mut inverted, "wall_p99_ms", Json::Num(1.0));
-        assert!(validate(&inverted).unwrap_err().contains("exceeds wall_p99_ms"));
-
-        let mut negative = minimal_doc();
-        set_entry0(&mut negative, "wall_p99_ms", Json::Num(-0.5));
-        assert!(validate(&negative).unwrap_err().contains("negative"));
-
-        let mut stringy = minimal_doc();
-        set_entry0(&mut stringy, "wall_p50_ms", json::str("fast"));
-        assert!(validate(&stringy).unwrap_err().contains("non-numeric"));
-    }
-
-    fn entries_mut(doc: &mut Json) -> &mut Vec<Json> {
-        let Json::Obj(pairs) = doc else { unreachable!() };
-        let entries = pairs.iter_mut().find(|(k, _)| k == "entries").unwrap();
-        let Json::Arr(es) = &mut entries.1 else { unreachable!() };
-        es
+        // Every recorded parameter survives the text, including a cache
+        // geometry through `MemConfig::label` and a ticked run.
+        let cfg = RunConfig {
+            issue_width: 3,
+            tags: 5,
+            queue_depth: 2,
+            mem: MemConfig::parse("cached:l1=512,l2=4k,mshr=4,lat1=1").unwrap(),
+            event_driven: false,
+            ..RunConfig::default()
+        };
+        let ctx = Ctx { scale: Scale::Tiny, seed: 9, cfg, ..Ctx::default() };
+        let cells = [Cell { kernel: "dmv".into(), system: "TYR".into(), counts: [3, 2, 1] }];
+        let text = render(&ctx, &cells);
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(render(&header(&doc, 1).unwrap(), &cells), text);
+        assert_eq!(entries(&doc).unwrap(), cells);
     }
 
     #[test]
     fn sim_exact_reproduces_a_real_baseline_and_names_drifted_cells() {
-        // Fill the well-formed document with the counts the suite really
-        // produces at its recorded scale and seed: it must reproduce.
-        let ctx = Ctx::default();
-        let mut doc = minimal_doc();
-        let workloads = suite(Scale::Tiny, 1);
-        let grid = workloads.iter().flat_map(|w| System::ALL.map(move |sys| (w, sys)));
-        for (e, (w, sys)) in entries_mut(&mut doc).iter_mut().zip(grid) {
-            let r = run_system(w, sys, &ctx.cfg);
-            set(e, "cycles", json::num(r.cycles()));
-            set(e, "dyn_instrs", json::num(r.dyn_instrs()));
-        }
-        assert_eq!(check_sim_exact(&ctx, &doc), Ok(35));
-
         // One count off by one: that cell, and only it, is named.
-        let dmm_unordered = &mut entries_mut(&mut doc)[8];
-        let cycles = dmm_unordered.get("cycles").and_then(Json::as_f64).unwrap() as u64;
-        set(dmm_unordered, "cycles", json::num(cycles + 1));
-        let err = check_sim_exact(&ctx, &doc).unwrap_err();
+        let (ctx, mut cells) = tiny();
+        cells[7].counts[0] += 1;
+        let err = check(&render(&ctx, &cells), 2).unwrap_err();
         assert_eq!(err.lines().count(), 2, "{err}");
-        assert!(err.contains("dmm on unordered"), "{err}");
+        assert!(err.contains("dmm on ordered: recorded ["), "{err}");
     }
 
     #[test]
-    fn skipped_cycles_is_optional_but_bounded_by_cycles() {
-        // Absent (pre-event-core baselines): still valid.
-        validate(&minimal_doc()).unwrap();
+    fn missing_pair_rejected() {
+        let (ctx, mut cells) = tiny();
+        cells.remove(2);
+        let err = check(&render(&ctx, &cells), 2).unwrap_err();
+        assert!(err.contains("missing cell dmv on ordered"), "{err}");
+    }
 
-        // Present and within [0, cycles]: valid (entry cycles are 100).
-        let mut ok = minimal_doc();
-        set_entry0(&mut ok, "skipped_cycles", json::num(40));
-        validate(&ok).unwrap();
-
-        let mut negative = minimal_doc();
-        set_entry0(&mut negative, "skipped_cycles", Json::Num(-1.0));
-        assert!(validate(&negative).unwrap_err().contains("negative"));
-
-        let mut too_many = minimal_doc();
-        set_entry0(&mut too_many, "skipped_cycles", json::num(101));
-        assert!(validate(&too_many).unwrap_err().contains("exceeds cycles"));
-
-        let mut stringy = minimal_doc();
-        set_entry0(&mut stringy, "skipped_cycles", json::str("many"));
-        assert!(validate(&stringy).unwrap_err().contains("non-numeric"));
+    #[test]
+    fn duplicate_pair_rejected() {
+        let (ctx, mut cells) = tiny();
+        cells.insert(1, cells[0].clone());
+        cells[5].kernel = "nope".into();
+        let err = check(&render(&ctx, &cells), 2).unwrap_err();
+        assert!(err.contains("duplicate cell dmv on seq-vN"), "{err}");
+        assert!(err.contains("unknown cell nope on TYR"), "{err}");
+        assert!(err.contains("missing cell dmv on TYR"), "{err}");
+        // Any other difference is located by line.
+        let (ctx, cells) = tiny();
+        let extra = render(&ctx, &cells).replacen("\"seed\":1", "\"seed\":1,\"jobs\":2", 1);
+        assert!(check(&extra, 2).unwrap_err().contains("line 1 is not"));
     }
 }

@@ -3,12 +3,17 @@
 //!
 //! ```text
 //! repro [--scale tiny|small|paper] [--seed N] [--width N] [--tags N]
-//!       [--queue N] [--mem MODEL] [--csv DIR] <command>...
+//!       [--queue N] [--mem MODEL] [--jobs N] [--ticked] [--csv DIR]
+//!       [--out FILE] <command>...
 //!
 //! commands:
 //!   verify table1 table2 fig2 fig9 fig11 fig12 fig13 fig14 fig15 fig16
-//!   fig17 fig18 ablation-kbound all
+//!   fig17 fig18 ablation-kbound ablation-explosion ablation-ooo
+//!   ablation-isatax ablation-latency ablation-storesize all
+//!   trace timeline locality shard figure bench bench-check fuzz chaos
 //! ```
+//!
+//! `repro --help` prints every command's arguments and options.
 //!
 //! Default scale is `small` (seconds per figure); `--scale paper` restores
 //! the Table II input sizes (50M–1B dynamic instructions per app — budget
@@ -41,11 +46,11 @@ commands: verify table1 table2 fig2 fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig
           figure locality           (headline cache experiment: L1 miss rate + cycles for tagged-local vs
                                      tagged-global-bounded vs ordered on dmv and blocked dgemm across L1 sizes;
                                      --csv DIR writes figure_locality.csv)
-          bench [--quick]           (suite perf baseline -> BENCH_suite.json, or --out FILE; --quick forces tiny scale)
-          bench-check [--sim-exact] <file>
-                                    (validate a baseline file against the tyr-bench-suite/v1 schema;
-                                     --sim-exact also re-runs its cells and fails unless every
-                                     cycles/dyn_instrs equals the recorded value)
+          bench                     (simulated cycles/dyn_instrs/skipped_cycles of every suite cell
+                                     -> BENCH_suite.json, or --out FILE; the same bytes for any --jobs)
+          bench-check <file>        (re-run a baseline's cells under the parameters its header records;
+                                     nonzero exit unless the file is byte-for-byte what bench writes,
+                                     naming every drifted, missing, duplicate or unknown cell)
           fuzz [--seeds N] [--faults PLAN] [--deadline-secs N] [--quick]
                                     (differential fuzz all five engines vs the oracle; --quick = 25 seeds;
                                      PLAN e.g. 'drop,corrupt:2@100..5000' or 'all'; nonzero exit on any finding)
@@ -85,7 +90,6 @@ fn main() -> ExitCode {
     let mut cmds: Vec<String> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
     let mut quick = false;
-    let mut sim_exact = false;
     let mut fuzz_seeds: Option<u64> = None;
     let mut fuzz_faults: Option<String> = None;
     let mut fuzz_deadline: Option<u64> = None;
@@ -129,7 +133,6 @@ fn main() -> ExitCode {
                 }
             }
             "--quick" => quick = true,
-            "--sim-exact" => sim_exact = true,
             "--ticked" => ctx.cfg.event_driven = false,
             "--seeds" => fuzz_seeds = Some(num_of(&arg, &mut it)),
             "--faults" => fuzz_faults = Some(value_of(&arg, &mut it)),
@@ -152,6 +155,10 @@ fn main() -> ExitCode {
     }
     if cmds.is_empty() {
         eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    if quick && cmds.iter().any(|c| c == "bench") {
+        eprintln!("bench has no --quick; use --scale tiny\n{USAGE}");
         return ExitCode::from(2);
     }
     if cmds.iter().any(|c| c == "all") {
@@ -270,12 +277,8 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "bench" => {
-                let mut bctx = ctx.clone();
-                if quick {
-                    bctx.scale = Scale::Tiny;
-                }
                 let out = trace_out.clone().unwrap_or_else(|| PathBuf::from("BENCH_suite.json"));
-                if let Err(e) = bench_cmd::run(&bctx, &out) {
+                if let Err(e) = bench_cmd::run(&ctx, &out) {
                     eprintln!("bench failed: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -286,7 +289,7 @@ fn main() -> ExitCode {
                     eprintln!("bench-check needs a <file>\n{USAGE}");
                     return ExitCode::from(2);
                 };
-                if let Err(e) = bench_cmd::check_file(&ctx, std::path::Path::new(file), sim_exact) {
+                if let Err(e) = bench_cmd::check_file(std::path::Path::new(file), ctx.jobs) {
                     eprintln!("bench-check failed: {e}");
                     return ExitCode::FAILURE;
                 }

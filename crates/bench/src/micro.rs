@@ -4,15 +4,15 @@
 //! the `cargo bench` targets run on this harness instead: each benchmark is
 //! warmed briefly, then timed in batches for a fixed measurement window, and
 //! the per-iteration mean/min wall times are printed in a stable one-line
-//! format. That is enough to spot engine-throughput regressions at a glance,
-//! which is all these benches are for; statistical rigor beyond min/mean is
-//! out of scope.
+//! format. That is enough to compare the two rows of a bench pair at a
+//! glance (end-to-end host time is `benchmarks/`'s job); statistical rigor
+//! beyond min/mean is out of scope.
 //!
 //! Usage from a `harness = false` bench target:
 //!
 //! ```no_run
-//! let mut b = tyr_bench::micro::Harness::from_args("figures");
-//! b.bench("fig02_spmspm_all_systems", || { /* work */ });
+//! let mut b = tyr_bench::micro::Harness::from_args("store");
+//! b.bench("row_access/dense/fused", || { /* work */ });
 //! b.finish();
 //! ```
 

@@ -130,6 +130,33 @@ fn malformed_numeric_flags_are_usage_errors_not_panics() {
 }
 
 #[test]
+fn a_baseline_passes_its_own_check_and_names_a_drifted_cell() {
+    // `--queue` and `--mem` move the dataflow cells, so the check must take
+    // them from the file's header, not from its own command line.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench_queue2_lat200.json");
+    let file = path.to_str().unwrap();
+    let out =
+        repro(&["--scale", "tiny", "--queue", "2", "--mem", "ideal:200", "bench", "--out", file]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        text.contains("\"queue_depth\":2,") && text.contains("\"mem\":\"ideal:200\""),
+        "{text}"
+    );
+    let out = repro(&["bench-check", file]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // One count edited: exit 1, naming exactly that cell.
+    let drifted = text.replacen("\"dyn_instrs\":", "\"dyn_instrs\":1", 1);
+    std::fs::write(&path, drifted).unwrap();
+    let out = repro(&["bench-check", file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.matches(": recorded [").count(), 1, "{stderr}");
+    assert!(stderr.contains("dmv on seq-vN: recorded ["), "{stderr}");
+}
+
+#[test]
 fn fig9_observes_mem_and_ticked() {
     let fig9 = |flags: &[&str]| {
         let out = repro(&[&["--scale", "tiny"], flags, &["fig9"]].concat());
