@@ -24,10 +24,14 @@ cargo test --offline --workspace -q
 # `ChromeTrace::validate` may allocate under 64 KiB on a 12 MB trace.
 cargo test --offline --release -q -p tyr-stats --test validate_alloc
 # The token store and the event queue against their reference models
-# (DESIGN.md §7.9, §7.3), likewise by name and optimized.
+# (DESIGN.md §7.9, §7.2, §7.3), the sparse store also on sliding-window tag
+# streams that grow, wrap, tombstone and drain its tables, and the tag
+# hasher's placement property (§7.1); likewise by name and optimized.
 cargo test --offline --release -q -p tyr-sim --lib -- --exact \
   store::tests::dense_store_matches_the_reference_model \
   store::tests::sparse_store_matches_the_reference_model \
+  store::tests::sparse_store_matches_the_reference_model_on_tag_streams \
+  fxhash::tests::tag_hash_is_the_tag_under_fxhash_top_bits \
   event::tests::ring_matches_a_sorted_vec_reference
 # The pinned benchmark crate must keep building against the harness API, and
 # its parity check compares the public launch calls (`run_system`,

@@ -1,19 +1,25 @@
 //! Micro-bench pairs for the tagged engine's token store: its access
 //! pattern — one row resolution per operation (the engine before DESIGN.md
 //! §7.9) vs one fused [`Rows::put`] per delivery and [`Rows::take`] per
-//! firing — and its sparse slot layout — a SipHash map of `Vec` rows, an
-//! FxHash map of pooled [`ValueSlab`] rows, and an FxHash map holding the
-//! row inline (§7.2). Run with `cargo bench -p tyr-bench --bench store`;
-//! each pair isolates one substitution the engine made, so the win (or a
-//! regression) is measurable in-repo without profiling a whole simulation.
-//! The hash and slab structures alone are measured by `benchmarks/`
-//! (`sim.fxhash.churn_ns`, `sim.slab.turnover_ns`).
+//! firing — its sparse slot layout — a SipHash map of `Vec` rows, an FxHash
+//! map of pooled [`ValueSlab`] rows, and an FxHash map holding the row
+//! inline (§7.2) — and its hasher under a live state that spills L2 —
+//! FxHash, which scatters consecutive tags, vs `TagHasher`, which places
+//! them in adjacent buckets (§7.1). Run with
+//! `cargo bench -p tyr-bench --bench store`; each pair isolates one
+//! substitution the engine made, so the win (or a regression) is measurable
+//! in-repo without profiling a whole simulation. The hash and slab
+//! structures alone are measured by `benchmarks/` (`sim.fxhash.churn_ns`,
+//! `sim.slab.turnover_ns`).
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use tyr_bench::micro::Harness;
 use tyr_ir::Value;
-use tyr_sim::fxhash::FxHashMap;
+use tyr_sim::fxhash::{FxBuildHasher, FxHashMap, TagBuildHasher};
 use tyr_sim::slab::ValueSlab;
 use tyr_sim::store::{DenseRows, Rows, SparseRows, IN_QUEUE};
 
@@ -24,6 +30,45 @@ const PORTS: usize = 2;
 const LIVE: u64 = 512;
 /// Total tag lifetimes simulated per iteration.
 const TURNOVER: u64 = 4096;
+
+/// Rows live at once in the sliding-window churn: a table of them (32-byte
+/// slots) spills L2, as the unordered baseline's live state does.
+const WINDOW: u64 = 200_000;
+/// Tag lifetimes per iteration of the sliding-window churn.
+const SLIDE: u64 = 65_536;
+
+/// A sparse store's slot table under hasher `S`.
+type Slots<S> = HashMap<u64, (u64, [Value; PORTS]), S>;
+
+/// A slot table holding the first token of each of [`WINDOW`] tags.
+fn window<S: BuildHasher + Default>() -> Slots<S> {
+    (0..WINDOW).map(|tag| (tag, (1, [tag as Value, 0]))).collect()
+}
+
+/// Slides the window `head` leads by [`SLIDE`] tags, one map probe per
+/// token and per firing as `SparseRows` makes them: each new tag's first
+/// token opens its slot, and the tag [`WINDOW`] behind it takes its second
+/// token and fires, erasing its slot. As in the engine, where a firing's
+/// result is what the next delivery carries, the next tag is computed from
+/// the values the firing took, so each access waits for the one before.
+fn slide<S: BuildHasher>(slots: &mut Slots<S>, head: &Cell<u64>) -> Value {
+    let mut sum: Value = 0;
+    let mut tag = head.get();
+    for _ in 0..SLIDE {
+        slots.insert(tag, (1, [tag as Value, 0]));
+        let old = tag - WINDOW;
+        if let Entry::Occupied(mut e) = slots.entry(old) {
+            let (word, vals) = e.get_mut();
+            (*word, vals[1]) = (*word | 2, 1);
+        }
+        let Entry::Occupied(e) = slots.entry(old) else { unreachable!("tag {old} is live") };
+        let (_, vals) = e.remove();
+        sum = sum.wrapping_add(vals[1]);
+        tag = vals[0] as u64 + WINDOW + vals[1] as u64;
+    }
+    head.set(tag);
+    sum
+}
 
 /// The token store as the engine drove it before §7.9: every operation
 /// (`present`, `set`, `or_flags`, `clear`, `val`) resolves the row again —
@@ -245,6 +290,14 @@ fn main() {
         }
         sum
     });
+
+    // The sparse store's hasher once the live state spills L2 (§7.1): the
+    // same window churn under FxHash and under `TagHasher`.
+    let (mut fx, fx_head) = (window::<FxBuildHasher>(), Cell::new(WINDOW));
+    b.bench("sparse_window/fxhash", || slide(&mut fx, &fx_head));
+    drop(fx);
+    let (mut tag, tag_head) = (window::<TagBuildHasher>(), Cell::new(WINDOW));
+    b.bench("sparse_window/tag", || slide(&mut tag, &tag_head));
 
     b.finish();
 }

@@ -15,7 +15,7 @@ use std::collections::hash_map::Entry;
 
 use tyr_ir::Value;
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::TagHashMap;
 use crate::result::SimError;
 use crate::slab::ValueSlab;
 
@@ -146,15 +146,23 @@ impl Rows for DenseRows {
 /// Port values a [`SparseRows`] slot holds inline.
 const INLINE_PORTS: usize = 2;
 
+/// A [`SparseRows`] table: tag -> (presence word, port values or slab row).
+type SlotMap = TagHashMap<(u64, [Value; INLINE_PORTS])>;
+
+/// A table with room for more than this many rows is rebuilt at its live
+/// size once an erase leaves it at most 1/8 full ([`shrink_if_drained`]).
+const SHRINK_ABOVE: usize = 64;
+
 /// An associative store for unbounded tags. Keys are engine-generated tag
-/// counters (never adversarial), so the map hashes with `FxHasher` rather
-/// than SipHash. A slot is the presence word and the port values, so a
+/// counters (never adversarial), so the map hashes with `TagHasher`: a tag's
+/// value picks its bucket, and the run of consecutive tags a node sees fills
+/// adjacent buckets. A slot is the presence word and the port values, so a
 /// token's match touches one map entry and nothing else; a node wider than
 /// two ports keeps its values in a pooled [`ValueSlab`] row instead,
 /// whose handle sits in the slot's first value. A slot (and its slab row)
 /// exists exactly while its presence word is nonzero.
 pub struct SparseRows {
-    map: FxHashMap<u64, (u64, [Value; INLINE_PORTS])>,
+    map: SlotMap,
     /// Rows of a node wider than [`INLINE_PORTS`]; `None` keeps them inline.
     wide: Option<ValueSlab>,
 }
@@ -163,7 +171,21 @@ impl SparseRows {
     /// An empty store for a node with `n_ports` input ports.
     pub fn new(n_ports: usize) -> Self {
         let wide = (n_ports > INLINE_PORTS).then(|| ValueSlab::new(n_ports));
-        SparseRows { map: FxHashMap::default(), wide }
+        SparseRows { map: SlotMap::default(), wide }
+    }
+}
+
+/// Called after every erase: once a table with room for more than
+/// [`SHRINK_ABOVE`] rows is at most 1/8 full, rebuild it at its live size.
+/// Erasing inside a run of 16 or more full buckets — the oldest row of a
+/// window of consecutive tags — leaves a tombstone, and a table whose growth
+/// budget tombstones have used up doubles at 7/16 full rather than 7/8; the
+/// rebuild drops them, and frees a table that drained.
+#[inline]
+fn shrink_if_drained(map: &mut SlotMap) {
+    let capacity = map.capacity();
+    if capacity > SHRINK_ABOVE && map.len() <= capacity / 8 {
+        map.shrink_to_fit();
     }
 }
 
@@ -171,7 +193,7 @@ impl SparseRows {
 /// first value is the handle of the slab row holding the port values.
 #[cold]
 fn wide_row<R>(
-    map: &mut FxHashMap<u64, (u64, [Value; INLINE_PORTS])>,
+    map: &mut SlotMap,
     slab: &mut ValueSlab,
     tag: u64,
     f: impl FnOnce(&mut u64, &mut [Value]) -> R,
@@ -184,6 +206,7 @@ fn wide_row<R>(
             if *word == 0 {
                 e.remove();
                 slab.release(row);
+                shrink_if_drained(map);
             }
             r
         }
@@ -213,6 +236,7 @@ impl Rows for SparseRows {
                 let r = f(word, vals);
                 if *word == 0 {
                     e.remove();
+                    shrink_if_drained(&mut self.map);
                 }
                 r
             }
@@ -239,7 +263,7 @@ impl Rows for SparseRows {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
 
@@ -261,12 +285,85 @@ mod tests {
         *state
     }
 
+    /// What a `put` did, by the model's reckoning.
+    #[derive(Debug, PartialEq)]
+    enum Put {
+        Stored,
+        Duplicate,
+        Overflow,
+    }
+
+    /// Puts the same token into `store` and the model and checks the
+    /// store's answer against the model's. `rows` is the dense capacity
+    /// (`None` for sparse).
+    fn put_both<S: Rows>(
+        store: &mut S,
+        model: &mut Model,
+        rows: Option<u64>,
+        (tag, port, val): (u64, u16, Value),
+        enqueue: u64,
+    ) -> Put {
+        let got = store.put(tag, port, val, enqueue);
+        let word = model.get(&tag).map_or(0, |e| e.0);
+        if let Some(space) = rows.filter(|&r| tag >= r) {
+            assert_eq!(got, Err(SimError::TagOverflow { tag, space: space as usize }));
+            Put::Overflow
+        } else if word & (1 << port) != 0 {
+            assert_eq!(got, Err(SimError::TagOverflow { tag, space: usize::MAX }));
+            Put::Duplicate
+        } else {
+            let mut after = word | 1 << port;
+            if after & enqueue == enqueue && after & IN_QUEUE == 0 {
+                after |= IN_QUEUE;
+            }
+            assert_eq!(got, Ok((word, after)));
+            let e = model.entry(tag).or_insert((0, [0; MAX_PORTS]));
+            (e.0, e.1[port as usize]) = (after, val);
+            Put::Stored
+        }
+    }
+
+    /// Takes the tokens on `mask` from `tag`'s row of both and checks the
+    /// presence word and the values the store hands out.
+    fn take_both<S: Rows>(store: &mut S, model: &mut Model, tag: u64, mask: u64) {
+        let mut out = [UNTOUCHED; 3];
+        let before = store.take(tag, mask, &mut out);
+        let (word, vals) = model.get(&tag).copied().unwrap_or((0, [0; MAX_PORTS]));
+        assert_eq!(before, word, "tag {tag}");
+        for (p, o) in out.iter().enumerate() {
+            if mask >> p & 1 == 0 {
+                assert_eq!(*o, UNTOUCHED, "port {p} is outside the mask");
+            } else if word >> p & 1 != 0 {
+                assert_eq!(*o, vals[p], "port {p} held a token");
+            }
+        }
+        if let Some(e) = model.get_mut(&tag) {
+            e.0 &= !(mask | IN_QUEUE);
+        }
+    }
+
+    /// Drops `tag`'s model entry once its word is zero, as the store must
+    /// have done; returns whether it did.
+    fn settle(model: &mut Model, tag: u64) -> bool {
+        let empty = model.get(&tag).is_some_and(|e| e.0 == 0);
+        if empty {
+            model.remove(&tag);
+        }
+        empty
+    }
+
+    /// Slots and slab rows a store of `width` ports must hold for `model`:
+    /// a row is held exactly while its presence word is nonzero, released
+    /// the moment it reaches zero.
+    fn expected_held(model: &Model, width: usize) -> (usize, usize) {
+        (model.len(), if width > INLINE_PORTS { model.len() } else { 0 })
+    }
+
     /// Drives `store` and the model with the same random `put`/`take`/flag
     /// sequence on ports `0..width` and compares every return value and,
     /// after every step, every presence word. `rows` is the dense capacity
     /// (`None` for sparse); `held` reports, for a sparse store, how many
-    /// slots and slab rows it holds, which must both equal the model's
-    /// entry count (the slab count is 0 for inline rows).
+    /// slots and slab rows it holds ([`expected_held`]).
     fn differential<S: Rows>(
         mut store: S,
         width: usize,
@@ -285,42 +382,13 @@ mod tests {
                     let port = (xorshift(&mut rng) % width as u64) as u16;
                     let val = xorshift(&mut rng) as Value;
                     let enqueue = [ports, 0, u64::MAX][(xorshift(&mut rng) % 3) as usize];
-                    let got = store.put(tag, port, val, enqueue);
-                    let word = model.get(&tag).map_or(0, |e| e.0);
-                    if !in_range(tag) {
-                        let space = rows.unwrap() as usize;
-                        assert_eq!(got, Err(SimError::TagOverflow { tag, space }));
-                        overflows += 1;
-                    } else if word & (1 << port) != 0 {
-                        assert_eq!(got, Err(SimError::TagOverflow { tag, space: usize::MAX }));
-                        duplicates += 1;
-                    } else {
-                        let mut after = word | 1 << port;
-                        if after & enqueue == enqueue && after & IN_QUEUE == 0 {
-                            after |= IN_QUEUE;
-                        }
-                        assert_eq!(got, Ok((word, after)));
-                        let e = model.entry(tag).or_insert((0, [0; MAX_PORTS]));
-                        (e.0, e.1[port as usize]) = (after, val);
+                    match put_both(&mut store, &mut model, rows, (tag, port, val), enqueue) {
+                        Put::Overflow => overflows += 1,
+                        Put::Duplicate => duplicates += 1,
+                        Put::Stored => {}
                     }
                 }
-                3 => {
-                    let mask = xorshift(&mut rng) & ports;
-                    let mut out = [UNTOUCHED; 3];
-                    let before = store.take(tag, mask, &mut out);
-                    let (word, vals) = model.get(&tag).copied().unwrap_or((0, [0; MAX_PORTS]));
-                    assert_eq!(before, word);
-                    for (p, o) in out.iter().enumerate() {
-                        if mask >> p & 1 == 0 {
-                            assert_eq!(*o, UNTOUCHED, "port {p} is outside the mask");
-                        } else if word >> p & 1 != 0 {
-                            assert_eq!(*o, vals[p], "port {p} held a token");
-                        }
-                    }
-                    if let Some(e) = model.get_mut(&tag) {
-                        e.0 &= !(mask | IN_QUEUE);
-                    }
-                }
+                3 => take_both(&mut store, &mut model, tag, xorshift(&mut rng) & ports),
                 4 => {
                     let flags = [1 << 62, 1 << 61, IN_QUEUE][(xorshift(&mut rng) % 3) as usize];
                     store.or_flags(tag, flags);
@@ -336,26 +404,23 @@ mod tests {
                     assert_eq!(now, e.0);
                 }
             }
-            let before = model.len();
-            model.retain(|_, e| e.0 != 0);
-            releases += before - model.len();
+            if settle(&mut model, tag) {
+                releases += 1;
+            }
             for t in 0..ROWS + 2 {
                 assert_eq!(store.present(t), model.get(&t).map_or(0, |e| e.0), "tag {t}");
             }
-            if let Some((slots, slab_rows)) = held(&store) {
-                // A row is held exactly while its presence word is nonzero:
-                // released the moment it reaches zero.
-                assert_eq!(slots, model.len());
-                assert_eq!(slab_rows, if width > INLINE_PORTS { model.len() } else { 0 });
+            if let Some(got) = held(&store) {
+                assert_eq!(got, expected_held(&model, width));
             }
         }
         assert!(duplicates > 100 && releases > 100, "the sequence must exercise both");
         assert_eq!(overflows > 0, rows.is_some());
     }
 
-    fn sparse_holds(s: &SparseRows) -> Option<(usize, usize)> {
+    fn sparse_holds(s: &SparseRows) -> (usize, usize) {
         let slab_rows = s.wide.as_ref().map_or(0, |w| w.rows_allocated() - w.rows_free());
-        Some((s.map.len(), slab_rows))
+        (s.map.len(), slab_rows)
     }
 
     #[test]
@@ -369,7 +434,97 @@ mod tests {
     #[test]
     fn sparse_store_matches_the_reference_model() {
         for width in [1, 2, 3, MAX_PORTS] {
-            differential(SparseRows::new(width), width, None, sparse_holds);
+            differential(SparseRows::new(width), width, None, |s| Some(sparse_holds(s)));
+        }
+    }
+
+    /// Delivers the rest of `tag`'s ports and fires it (now and then in two
+    /// takes), leaving its row released.
+    fn complete(store: &mut SparseRows, model: &mut Model, tag: u64, width: usize, rng: &mut u64) {
+        let ports = (1u64 << width) - 1;
+        for port in 1..width as u16 {
+            let token = (tag, port, xorshift(rng) as Value);
+            assert_eq!(put_both(store, model, None, token, ports), Put::Stored);
+        }
+        if xorshift(rng).is_multiple_of(8) {
+            take_both(store, model, tag, 1);
+            assert!(!settle(model, tag), "ports 1.. still hold tokens");
+        }
+        take_both(store, model, tag, ports);
+        assert!(settle(model, tag), "a fired row holds nothing");
+    }
+
+    /// The tag streams the unordered engine's counter produces, which the
+    /// `0..8` tags above never reach: a window of live rows slides over a
+    /// monotone counter and fires them slightly out of order, a straggler
+    /// now and then stays live while the window passes it, strides are
+    /// powers of two, and every phase drains the store to empty before the
+    /// next refills it. The tables grow, wrap around, leave tombstones and
+    /// shrink, at an inline width and a slab one; after every drain a table
+    /// must be back to room for at most [`SHRINK_ABOVE`] rows.
+    #[test]
+    fn sparse_store_matches_the_reference_model_on_tag_streams() {
+        // (first tag, stride, live window); the third phase crosses 2^57,
+        // above which tags share `TagHasher`'s low bits with smaller ones.
+        const PHASES: [(u64, u64, usize); 6] = [
+            (0, 1, 700),
+            (1 << 20, 1, 3000),
+            ((1 << 57) - 2000, 1, 1500),
+            (1 << 30, 2, 900),
+            (1 << 31, 8, 900),
+            (1 << 32, 1 << 12, 300),
+        ];
+        for width in [INLINE_PORTS, INLINE_PORTS + 1] {
+            let mut store = SparseRows::new(width);
+            let mut model = Model::new();
+            let mut rng = 0x2545_f491_4f6c_dd1du64 ^ width as u64;
+            let ports = (1u64 << width) - 1;
+            for (phase, (first, stride, window)) in PHASES.into_iter().enumerate() {
+                let (mut open, mut stragglers) = (VecDeque::new(), Vec::new());
+                let mut peak = 0;
+                for i in 0..4 * window as u64 {
+                    let tag = first + i * stride;
+                    let token = (tag, 0, tag as Value);
+                    assert_eq!(put_both(&mut store, &mut model, None, token, ports), Put::Stored);
+                    if xorshift(&mut rng).is_multiple_of(64) {
+                        stragglers.push(tag);
+                    } else {
+                        open.push_back(tag);
+                    }
+                    if open.len() > window {
+                        let oldest = (xorshift(&mut rng) % 4) as usize;
+                        let old = open.remove(oldest).expect("the window is full");
+                        complete(&mut store, &mut model, old, width, &mut rng);
+                    }
+                    if i % 97 == 0 {
+                        // Neither a second token on an occupied port nor a
+                        // take of a tag not yet live may leave a slot.
+                        let again = (tag, 0, 1);
+                        let dup = put_both(&mut store, &mut model, None, again, ports);
+                        assert_eq!(dup, Put::Duplicate);
+                        take_both(&mut store, &mut model, tag + stride, ports);
+                        assert!(!settle(&mut model, tag + stride));
+                    }
+                    assert_eq!(store.present(tag), model[&tag].0, "tag {tag}");
+                    assert_eq!(sparse_holds(&store), expected_held(&model, width));
+                    peak = peak.max(store.map.capacity());
+                }
+                for (t, e) in &model {
+                    assert_eq!(store.present(*t), e.0, "tag {t}");
+                }
+                let mut drain: Vec<u64> = stragglers.into_iter().chain(open).collect();
+                if phase % 2 == 1 {
+                    drain.reverse();
+                }
+                for tag in drain {
+                    complete(&mut store, &mut model, tag, width, &mut rng);
+                    assert_eq!(sparse_holds(&store), expected_held(&model, width));
+                }
+                assert!(model.is_empty());
+                assert!(peak >= window, "phase {phase}: the table never grew ({peak})");
+                let capacity = store.map.capacity();
+                assert!(capacity <= SHRINK_ABOVE, "phase {phase}: drained table kept {capacity}");
+            }
         }
     }
 }
