@@ -33,6 +33,15 @@ cargo test --offline --release -q -p tyr-sim --lib -- --exact \
   store::tests::sparse_store_matches_the_reference_model_on_tag_streams \
   fxhash::tests::tag_hash_is_the_tag_under_fxhash_top_bits \
   event::tests::ring_matches_a_sorted_vec_reference
+# The verifier builds each graph fact once per call (DESIGN.md §5): its
+# compressed edge maps against the nested-Vec builder they replaced, row
+# for row and in order (including broken and duplicated edges), and every
+# battery (`verify_with`, `verify_ordered`, `verify_shards`) byte-equal to
+# its passes called one by one on 200 generated programs and the suite;
+# likewise by name and optimized.
+cargo test --offline --release -q -p tyr-verify --lib -- --exact \
+  absint::tests::edge_maps_match_the_nested_reference
+cargo test --offline --release -q -p tyr-verify --test composition
 # The pinned benchmark crate must keep building against the harness API, and
 # its parity check compares the public launch calls (`run_system`,
 # `LoweredWorkload`, `run_probed`, `fuzz::run_engine`) with the same runs
@@ -41,8 +50,11 @@ sh benchmarks/check.sh
 # The full static-analysis + translation-validation battery over the suite
 # (tiny scale keeps the gate fast), including the Fig. 11 and ordered-FIFO
 # static-vs-dynamic cross-validations; exits nonzero on any diagnostic
-# error or cross-validation disagreement.
+# error or cross-validation disagreement. Its stdout is pinned by an FNV-1a
+# digest (`crates/bench/tests/golden/verify_tiny_fnv.txt`), blessed before
+# a verifier change and passing unmodified after it.
 target/release/repro --scale tiny verify
+cargo test --offline --release -q -p tyr-bench --test verify_cmd
 # Probe-layer gate: run `repro trace` on one kernel per engine family and
 # validate the emitted Chrome-trace JSON — the subcommand itself exits
 # nonzero unless the file parses and contains at least one event of every

@@ -24,9 +24,9 @@ use std::collections::BTreeMap;
 use tyr_dfg::{BlockId, Dfg, NodeId, NodeKind};
 use tyr_ir::{MemoryImage, Value};
 
-use crate::absint::indexset::{self, IndexAnalysis, Segment};
+use crate::absint::indexset::{IndexSets, Segment};
 use crate::absint::si::Si;
-use crate::absint::{input_value, EdgeMaps};
+use crate::absint::EdgeMaps;
 
 /// Words per cache line used to convert word intervals into line bounds.
 /// Matches `tyr_stats::locality::DEFAULT_LINE_WORDS` so static bounds and
@@ -112,10 +112,17 @@ fn si_lines(si: Si) -> u64 {
 /// `args` (the same execution context the race pass takes — segment layout
 /// and argument classification both come from it).
 pub fn analyze_footprint(dfg: &Dfg, mem: &MemoryImage, args: &[Value]) -> FootprintAnalysis {
-    let segments = indexset::segments_of(mem);
     let maps = EdgeMaps::new(dfg);
-    let analysis = IndexAnalysis::new(&segments, args);
-    let vals = indexset::analyze(dfg, &maps, &segments, args);
+    analyze_footprint_with(dfg, &maps, &IndexSets::new(dfg, &maps, mem, args))
+}
+
+/// [`analyze_footprint`] over already-built graph facts.
+pub(crate) fn analyze_footprint_with(
+    dfg: &Dfg,
+    maps: &EdgeMaps,
+    index: &IndexSets,
+) -> FootprintAnalysis {
+    let segments = &index.segments;
 
     // Per (block, segment): the join of every clamped access interval.
     let mut joined: BTreeMap<(u32, usize), Si> = BTreeMap::new();
@@ -128,7 +135,7 @@ pub fn analyze_footprint(dfg: &Dfg, mem: &MemoryImage, args: &[Value]) -> Footpr
             NodeKind::Store | NodeKind::StoreAdd => true,
             _ => continue,
         };
-        let addr = input_value(dfg, &maps, &analysis, &vals, ni, 0);
+        let addr = index.address(dfg, maps, ni);
         if addr.is_bottom() {
             continue; // no token ever reaches this access
         }

@@ -27,7 +27,7 @@ use tyr_dfg::{Dfg, NodeKind};
 use tyr_ir::{AluOp, MemoryImage, Value};
 
 use crate::absint::si::Si;
-use crate::absint::{fixpoint, Analysis, EdgeMaps, Lattice};
+use crate::absint::{fixpoint, input_value, Analysis, EdgeMaps, Lattice};
 
 /// Up to this many segments are tracked (one provenance bit each); later
 /// segments are left unclassified. Real kernels allocate well under this.
@@ -243,6 +243,29 @@ impl Analysis for IndexAnalysis<'_> {
 /// The fixpoint of the index-set analysis: one [`AbsVal`] per node.
 pub fn analyze(dfg: &Dfg, maps: &EdgeMaps, segments: &[Segment], args: &[Value]) -> Vec<AbsVal> {
     fixpoint(dfg, maps, &IndexAnalysis::new(segments, args))
+}
+
+/// The index-set facts of one graph under one execution context — the
+/// tracked segments and the fixpoint — computed once per verify call and
+/// read by every memory pass (races, footprint, the shard pass's P001).
+pub(crate) struct IndexSets<'a> {
+    pub(crate) segments: Vec<Segment>,
+    args: &'a [Value],
+    values: Vec<AbsVal>,
+}
+
+impl<'a> IndexSets<'a> {
+    pub(crate) fn new(dfg: &Dfg, maps: &EdgeMaps, mem: &MemoryImage, args: &'a [Value]) -> Self {
+        let segments = segments_of(mem);
+        let values = analyze(dfg, maps, &segments, args);
+        IndexSets { segments, args, values }
+    }
+
+    /// The abstract address (input 0) of access node `node`.
+    pub(crate) fn address(&self, dfg: &Dfg, maps: &EdgeMaps, node: usize) -> AbsVal {
+        let analysis = IndexAnalysis::new(&self.segments, self.args);
+        input_value(dfg, maps, &analysis, &self.values, node, 0)
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //! abstract values until nothing changes. This module provides both, once:
 //!
 //! * [`EdgeMaps`] — precomputed forward/backward adjacency plus a per-input-
-//!   port producer list, with the dynamically routed `changeTag.dyn` edges
-//!   synthesized in (see [`crate::passes`]);
+//!   port producer list, as flat compressed [`Rows`], with the dynamically
+//!   routed `changeTag.dyn` edges synthesized in (see [`crate::passes`]).
+//!   The batteries in the crate root build one per call and share it
+//!   between their passes;
 //! * [`Lattice`] — the join-semilattice contract an abstract domain must
 //!   satisfy;
 //! * [`Analysis`] — per-node transfer functions keyed on
@@ -34,7 +36,7 @@ pub mod si;
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{Dfg, InKind, NodeId, NodeKind};
+use tyr_dfg::{Dfg, Edge, InKind, NodeId, NodeKind};
 use tyr_ir::Value;
 
 use crate::passes::dyn_targets;
@@ -53,22 +55,80 @@ pub trait Lattice: Clone + PartialEq {
     fn join_from(&mut self, other: &Self) -> bool;
 }
 
+/// Compressed rows: row `i` is the slice `ids[off[i]..off[i + 1]]`, so a
+/// whole family of small lists lives in two allocations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows<T> {
+    off: Vec<u32>,
+    ids: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    /// Empty rows of the lengths in `counts` (`counts[r + 1]` entries in
+    /// row `r`, `counts[0] == 0`), padded with `fill`; `next` holds each
+    /// row's first free slot for [`place`](Self::place).
+    fn with_counts(mut counts: Vec<u32>, fill: T) -> (Self, Vec<u32>) {
+        for r in 1..counts.len() {
+            counts[r] += counts[r - 1];
+        }
+        let next = counts.clone();
+        let ids = vec![fill; counts[counts.len() - 1] as usize];
+        (Rows { off: counts, ids }, next)
+    }
+
+    /// Appends `item` to row `row`, after the entries placed there before.
+    fn place(&mut self, next: &mut [u32], row: usize, item: T) {
+        self.ids[next[row] as usize] = item;
+        next[row] += 1;
+    }
+}
+
+impl<T> Rows<T> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> std::ops::Index<usize> for Rows<T> {
+    type Output = [T];
+
+    fn index(&self, row: usize) -> &[T] {
+        &self.ids[self.off[row] as usize..self.off[row + 1] as usize]
+    }
+}
+
 /// Precomputed edge views over a [`Dfg`], shared by every pass.
 ///
-/// Built once per pass invocation in O(edges); all lookups are O(1) per
-/// edge thereafter. This is what fixed the race pass's former
-/// O(nodes × edges)-per-query input scan.
+/// Built once per public verify call in O(edges), as flat compressed rows;
+/// all lookups are O(1) per edge thereafter. This is what fixed the race
+/// pass's former O(nodes × edges)-per-query input scan.
+///
+/// Row order is part of the contract: `succs[n]` lists `n`'s static
+/// targets in [`Dfg::edges`] order, then its synthesized `changeTag.dyn`
+/// targets, first occurrence kept. It is the fixpoint's worklist order, so
+/// it decides where widening lands. `preds[m]` lists every node with a
+/// static edge into `m` in ascending order, then every node whose only
+/// edges into `m` are dynamic, in ascending order — the order in which a
+/// walk over the static edges and then the dynamic ones first meets them.
 pub struct EdgeMaps {
-    /// `producers[n][p]` = every `(producer, out_port)` wired into input
-    /// port `p` of node `n` (static wires only; dynamic routing has no
-    /// fixed target port).
-    pub producers: Vec<Vec<Vec<(NodeId, u16)>>>,
     /// `succs[n]` = nodes receiving tokens from node `n`, deduplicated,
     /// including synthesized `changeTag.dyn` routing edges.
-    pub succs: Vec<Vec<NodeId>>,
+    pub succs: Rows<NodeId>,
     /// `preds[n]` = nodes feeding node `n`, deduplicated, including
     /// synthesized `changeTag.dyn` routing edges.
-    pub preds: Vec<Vec<NodeId>>,
+    pub preds: Rows<NodeId>,
+    /// Per node: where its dynamic targets start in `succs`' id array.
+    dyn_start: Vec<u32>,
+    /// Per node: the flat index of its input port 0 (`n + 1` entries).
+    port_base: Vec<u32>,
+    /// Per flat input port: every `(producer, out_port)` wired into it.
+    producers: Rows<(NodeId, u16)>,
 }
 
 impl EdgeMaps {
@@ -76,41 +136,96 @@ impl EdgeMaps {
     ///
     /// Edges into nonexistent nodes or ports (structural errors reported by
     /// [`check_structure`](crate::passes::check_structure)) are silently
-    /// dropped so downstream passes stay total on malformed graphs.
+    /// dropped so downstream passes stay total on malformed graphs: a
+    /// missing node drops the edge entirely, a missing port only drops it
+    /// from the producer lists (the target node still counts for
+    /// reachability).
     pub fn new(dfg: &Dfg) -> Self {
         let n = dfg.nodes.len();
-        let mut producers: Vec<Vec<Vec<(NodeId, u16)>>> =
-            dfg.nodes.iter().map(|node| vec![Vec::new(); node.ins.len()]).collect();
-        let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut add_adj = |from: NodeId, to: NodeId| {
-            if (from.0 as usize) < n && (to.0 as usize) < n {
-                let s = &mut succs[from.0 as usize];
-                if s.last() != Some(&to) && !s.contains(&to) {
-                    s.push(to);
-                }
-                let p = &mut preds[to.0 as usize];
-                if p.last() != Some(&from) && !p.contains(&from) {
-                    p.push(from);
-                }
-            }
-        };
-        for e in dfg.edges() {
-            add_adj(e.from, e.to);
-            if let Some(ports) = producers.get_mut(e.to.0 as usize) {
-                if let Some(list) = ports.get_mut(e.to_port as usize) {
-                    list.push((e.from, e.from_port));
-                }
-            }
-        }
+        let mut port_base = vec![0u32; n + 1];
         for (ni, node) in dfg.nodes.iter().enumerate() {
+            port_base[ni + 1] = port_base[ni] + node.ins.len() as u32;
+        }
+
+        // Successors, row by row: a node's static targets, then its dynamic
+        // ones, each kept on first occurrence.
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0u32);
+        let mut ids: Vec<NodeId> = Vec::new();
+        let mut dyn_start = Vec::with_capacity(n);
+        for (ni, node) in dfg.nodes.iter().enumerate() {
+            let row = ids.len();
+            for t in node.outs.iter().flatten() {
+                if (t.node.0 as usize) < n && !ids[row..].contains(&t.node) {
+                    ids.push(t.node);
+                }
+            }
+            dyn_start.push(ids.len() as u32);
             if matches!(node.kind, NodeKind::ChangeTagDyn) {
                 for t in dyn_targets(dfg, NodeId(ni as u32)) {
-                    add_adj(NodeId(ni as u32), t.node);
+                    if !ids[row..].contains(&t.node) {
+                        ids.push(t.node);
+                    }
+                }
+            }
+            off.push(ids.len() as u32);
+        }
+        let succs = Rows { off, ids };
+
+        // Predecessors: every (from, to) pair sits once in `succs`. The
+        // static pairs come first, ascending in `from`, then the dynamic ones.
+        let mut counts = vec![0u32; n + 1];
+        for t in &succs.ids {
+            counts[t.0 as usize + 1] += 1;
+        }
+        let (mut preds, mut next) = Rows::with_counts(counts, NodeId(0));
+        for dynamic in [false, true] {
+            for (f, &split) in dyn_start.iter().enumerate() {
+                let (start, end) = (succs.off[f], succs.off[f + 1]);
+                let (lo, hi) = if dynamic { (split, end) } else { (start, split) };
+                for t in &succs.ids[lo as usize..hi as usize] {
+                    preds.place(&mut next, t.0 as usize, NodeId(f as u32));
                 }
             }
         }
-        EdgeMaps { producers, succs, preds }
+
+        // Producers, per flat input port, in edge order.
+        let flat_port = |e: &Edge| {
+            let to = e.to.0 as usize;
+            let ports = dfg.nodes.get(to)?.ins.len();
+            ((e.to_port as usize) < ports).then(|| port_base[to] as usize + e.to_port as usize)
+        };
+        let mut counts = vec![0u32; port_base[n] as usize + 1];
+        for e in dfg.edges() {
+            if let Some(i) = flat_port(&e) {
+                counts[i + 1] += 1;
+            }
+        }
+        let (mut producers, mut next) = Rows::with_counts(counts, (NodeId(0), 0));
+        for e in dfg.edges() {
+            if let Some(i) = flat_port(&e) {
+                producers.place(&mut next, i, (e.from, e.from_port));
+            }
+        }
+        EdgeMaps { succs, preds, dyn_start, port_base, producers }
+    }
+
+    /// Every `(producer, out_port)` wired into input `port` of `node`, in
+    /// [`Dfg::edges`] order (static wires only; dynamic routing has no
+    /// fixed target port). Empty for a port the node does not have.
+    pub fn producers(&self, node: usize, port: usize) -> &[(NodeId, u16)] {
+        let flat = self.port_base[node] as usize + port;
+        if flat < self.port_base[node + 1] as usize {
+            &self.producers[flat]
+        } else {
+            &[]
+        }
+    }
+
+    /// The synthesized `changeTag.dyn` targets of `node` that no static
+    /// edge already reaches: the tail of `succs[node]`.
+    pub(crate) fn dyn_succs(&self, node: usize) -> &[NodeId] {
+        &self.succs.ids[self.dyn_start[node] as usize..self.succs.off[node + 1] as usize]
     }
 }
 
@@ -177,7 +292,7 @@ pub fn input_value<A: Analysis>(
         Some(InKind::Imm(v)) => analysis.immediate(dfg, node, port, *v),
         Some(InKind::Wire) => {
             let mut acc = A::Value::bottom();
-            for &(p, q) in &maps.producers[node][port as usize] {
+            for &(p, q) in maps.producers(node, port as usize) {
                 let pi = p.0 as usize;
                 acc.join_from(&analysis.output(dfg, pi, q, &values[pi]));
             }
@@ -284,12 +399,13 @@ mod tests {
         let dfg = diamond();
         let maps = EdgeMaps::new(&dfg);
         // join's two input ports each have exactly one producer.
-        assert_eq!(maps.producers[3][0], vec![(NodeId(1), 0)]);
-        assert_eq!(maps.producers[3][1], vec![(NodeId(2), 0)]);
+        assert_eq!(maps.producers(3, 0), [(NodeId(1), 0)]);
+        assert_eq!(maps.producers(3, 1), [(NodeId(2), 0)]);
+        assert!(maps.producers(3, 2).is_empty(), "join has no third port");
         // source's successors are a and b.
-        assert_eq!(maps.succs[0], vec![NodeId(1), NodeId(2)]);
+        assert_eq!(&maps.succs[0], [NodeId(1), NodeId(2)]);
         // join's preds are a and b.
-        assert_eq!(maps.preds[3], vec![NodeId(1), NodeId(2)]);
+        assert_eq!(&maps.preds[3], [NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -298,12 +414,196 @@ mod tests {
         dfg.nodes[0].outs[0].push(PortRef { node: NodeId(999), port: 0 });
         dfg.nodes[0].outs[0].push(PortRef { node: NodeId(3), port: 999 });
         let maps = EdgeMaps::new(&dfg);
-        assert!(maps.producers[3].iter().flatten().all(|&(p, _)| p.0 < dfg.len() as u32));
+        assert!((0..2).flat_map(|p| maps.producers(3, p)).all(|&(p, _)| p.0 < dfg.len() as u32));
         // The missing-node edge vanishes entirely; the missing-port edge
         // still counts for reachability (its target node exists) but feeds
         // no producer list. Successor order follows out-port order, so the
         // bad-port edge to n3 lands between the two real ones.
-        assert_eq!(maps.succs[0], vec![NodeId(1), NodeId(3), NodeId(2)]);
+        assert_eq!(&maps.succs[0], [NodeId(1), NodeId(3), NodeId(2)]);
+    }
+
+    /// The nested-`Vec` builder the compressed rows replaced, kept as the
+    /// reference they must reproduce row for row, in order.
+    struct NestedMaps {
+        producers: Vec<Vec<Vec<(NodeId, u16)>>>,
+        succs: Vec<Vec<NodeId>>,
+        preds: Vec<Vec<NodeId>>,
+    }
+
+    fn nested_maps(dfg: &Dfg) -> NestedMaps {
+        let n = dfg.nodes.len();
+        let mut producers: Vec<Vec<Vec<(NodeId, u16)>>> =
+            dfg.nodes.iter().map(|node| vec![Vec::new(); node.ins.len()]).collect();
+        let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut add_adj = |from: NodeId, to: NodeId| {
+            if (from.0 as usize) < n && (to.0 as usize) < n {
+                let s = &mut succs[from.0 as usize];
+                if s.last() != Some(&to) && !s.contains(&to) {
+                    s.push(to);
+                }
+                let p = &mut preds[to.0 as usize];
+                if p.last() != Some(&from) && !p.contains(&from) {
+                    p.push(from);
+                }
+            }
+        };
+        for e in dfg.edges() {
+            add_adj(e.from, e.to);
+            if let Some(ports) = producers.get_mut(e.to.0 as usize) {
+                if let Some(list) = ports.get_mut(e.to_port as usize) {
+                    list.push((e.from, e.from_port));
+                }
+            }
+        }
+        for (ni, node) in dfg.nodes.iter().enumerate() {
+            if matches!(node.kind, NodeKind::ChangeTagDyn) {
+                for t in dyn_targets(dfg, NodeId(ni as u32)) {
+                    add_adj(NodeId(ni as u32), t.node);
+                }
+            }
+        }
+        NestedMaps { producers, succs, preds }
+    }
+
+    fn assert_matches_reference(what: &str, dfg: &Dfg) {
+        let maps = EdgeMaps::new(dfg);
+        let want = nested_maps(dfg);
+        assert_eq!(maps.succs.len(), dfg.nodes.len(), "{what}");
+        assert_eq!(maps.preds.len(), dfg.nodes.len(), "{what}");
+        for (ni, node) in dfg.nodes.iter().enumerate() {
+            assert_eq!(&maps.succs[ni], want.succs[ni], "{what}: succs[{ni}]");
+            assert_eq!(&maps.preds[ni], want.preds[ni], "{what}: preds[{ni}]");
+            for (p, list) in want.producers[ni].iter().enumerate() {
+                assert_eq!(maps.producers(ni, p), list, "{what}: producers({ni}, {p})");
+            }
+            assert!(maps.producers(ni, node.ins.len()).is_empty(), "{what}: n{ni} past its ports");
+            let dynamic = &want.succs[ni][maps.succs[ni].len() - maps.dyn_succs(ni).len()..];
+            assert_eq!(maps.dyn_succs(ni), dynamic, "{what}: dyn_succs({ni})");
+        }
+    }
+
+    /// A helper called from inside a loop and once after it: the returns
+    /// are routed by `changeTag.dyn`, so the maps carry synthesized edges.
+    fn call_program() -> tyr_ir::Program {
+        use tyr_ir::build::ProgramBuilder;
+        use tyr_ir::Operand;
+        let mut pb = ProgramBuilder::new();
+        let mut h = pb.func("helper", 2);
+        let (a, b) = (h.param(0), h.param(1));
+        let r = h.add(a, b);
+        let hid = h.id();
+        pb.define(h, [r]);
+        let mut f = pb.func("main", 1);
+        let n = f.param(0);
+        let [i, acc, m] = f.begin_loop("l", [Operand::Const(0), Operand::Const(0), n]);
+        let c = f.lt(i, m);
+        f.begin_body(c);
+        let r = f.call(hid, &[acc, i], 1);
+        let i2 = f.add(i, 1);
+        let [out] = f.end_loop([i2, r[0], m], [acc]);
+        let r2 = f.call(hid, &[out, n], 1);
+        pb.finish(f, [r2[0]])
+    }
+
+    /// Every graph the batteries see in practice: 200 generated programs,
+    /// the tiny suite and a calling program, each under the TYR,
+    /// unordered-unbounded and ordered lowerings.
+    fn corpus() -> Vec<(String, Dfg)> {
+        use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
+        use tyr_workloads::gen::Recipe;
+        let mut programs: Vec<(String, tyr_ir::Program)> = (0..200)
+            .map(|s| (format!("recipe{s}"), Recipe::generate(s, 16).materialize().program))
+            .collect();
+        programs.extend(
+            tyr_workloads::suite(tyr_workloads::Scale::Tiny, 5)
+                .into_iter()
+                .map(|w| (w.name, w.program)),
+        );
+        programs.push(("call".into(), call_program()));
+        let mut out = Vec::new();
+        for (name, program) in &programs {
+            for (label, d) in [
+                ("tyr", TaggingDiscipline::Tyr),
+                ("unordered", TaggingDiscipline::UnorderedUnbounded),
+            ] {
+                out.push((format!("{name}/{label}"), lower_tagged(program, d).unwrap()));
+            }
+            out.push((format!("{name}/ordered"), lower_ordered(program).unwrap()));
+        }
+        assert!(
+            out.iter()
+                .any(|(_, g)| g.nodes.iter().any(|n| matches!(n.kind, NodeKind::ChangeTagDyn))),
+            "the corpus must exercise synthesized edges"
+        );
+        out
+    }
+
+    /// Broken copies of `dfg`, each mutated at a few nodes: an edge to a
+    /// missing node, an edge to a missing port, a duplicated edge, a
+    /// self-loop, all four at once, and static edges beside the dynamic
+    /// ones.
+    fn mutations(dfg: &Dfg) -> Vec<(&'static str, Dfg)> {
+        let n = dfg.nodes.len();
+        let mut sites = vec![0, n / 2, n - 1];
+        sites.dedup();
+        let edit = |g: &mut Dfg, kind: usize, k: usize| {
+            let node = &mut g.nodes[k];
+            if node.outs.is_empty() {
+                node.outs.push(Vec::new());
+            }
+            let extra = match kind {
+                0 => PortRef { node: NodeId(n as u32 + 7), port: 0 },
+                1 => PortRef { node: NodeId(((k + 1) % n) as u32), port: 999 },
+                2 => match node.outs.iter().flatten().next() {
+                    Some(&t) => t,
+                    None => return,
+                },
+                _ => PortRef { node: NodeId(k as u32), port: 0 },
+            };
+            let q = k % node.outs.len();
+            node.outs[q].push(extra);
+        };
+        let names = ["missing-node", "missing-port", "duplicate", "self-loop"];
+        let mut out: Vec<(&'static str, Dfg)> = names
+            .iter()
+            .enumerate()
+            .map(|(kind, &name)| {
+                let mut g = dfg.clone();
+                sites.iter().for_each(|&k| edit(&mut g, kind, k));
+                (name, g)
+            })
+            .collect();
+        let mut all = dfg.clone();
+        for kind in 0..names.len() {
+            sites.iter().for_each(|&k| edit(&mut all, kind, k));
+        }
+        out.push(("all", all));
+        // A static edge from the last node into every dynamic target, so a
+        // target's predecessors mix static and dynamic sources with the
+        // static one numbered higher: their order is then observable.
+        let mut mixed = dfg.clone();
+        let last = &mut mixed.nodes[n - 1];
+        if last.outs.is_empty() {
+            last.outs.push(Vec::new());
+        }
+        for (ni, node) in dfg.nodes.iter().enumerate() {
+            if matches!(node.kind, NodeKind::ChangeTagDyn) {
+                mixed.nodes[n - 1].outs[0].extend(dyn_targets(dfg, NodeId(ni as u32)));
+            }
+        }
+        out.push(("static-beside-dynamic", mixed));
+        out
+    }
+
+    #[test]
+    fn edge_maps_match_the_nested_reference() {
+        for (name, dfg) in corpus() {
+            assert_matches_reference(&name, &dfg);
+            for (what, broken) in mutations(&dfg) {
+                assert_matches_reference(&format!("{name} ({what})"), &broken);
+            }
+        }
     }
 
     #[test]

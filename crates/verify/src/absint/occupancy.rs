@@ -41,7 +41,7 @@ use tyr_dfg::{Dfg, InKind, NodeId, NodeKind};
 use tyr_ir::Value;
 use tyr_sim::ordered::ChannelCapacity;
 
-use crate::absint::{fixpoint, Analysis, EdgeMaps, Lattice};
+use crate::absint::{fixpoint, Analysis, EdgeMaps, Lattice, Rows};
 use crate::diag::{Code, Diagnostic};
 use crate::passes::reach;
 
@@ -147,7 +147,7 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
     let port_info = |ni: usize, p: usize| -> (bool, Level) {
         let mut fed = false;
         let mut lvl = Level::Bottom;
-        for &(prod, _) in &maps.producers[ni][p] {
+        for &(prod, _) in maps.producers(ni, p) {
             if live[prod.0 as usize] {
                 fed = true;
                 lvl.join_from(&levels[prod.0 as usize]);
@@ -206,12 +206,7 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
                     cycle.iter().find(|&&c| matches!(dfg.nodes[c.0 as usize].kind, NodeKind::Steer))
                 });
             let Some(&head) = head else { return false };
-            let deciders: Vec<NodeId> = maps.producers[head.0 as usize]
-                .first()
-                .into_iter()
-                .flatten()
-                .map(|&(p, _)| p)
-                .collect();
+            let deciders = maps.producers(head.0 as usize, 0).iter().map(|&(p, _)| p);
             let slice = reach(&maps.preds, deciders);
             slice
                 .iter()
@@ -227,7 +222,16 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
 /// obligations; the ordered analogue of `check_tag_policy`.
 pub fn check_channel_capacity(dfg: &Dfg, caps: &ChannelCapacity) -> Vec<Diagnostic> {
     let maps = EdgeMaps::new(dfg);
-    let depths = analyze_channel_depths(dfg, &maps);
+    check_channel_capacity_with(dfg, &maps, &analyze_channel_depths(dfg, &maps), caps)
+}
+
+/// [`check_channel_capacity`] over already-built graph facts.
+pub(crate) fn check_channel_capacity_with(
+    dfg: &Dfg,
+    maps: &EdgeMaps,
+    depths: &ChannelDepths,
+    caps: &ChannelCapacity,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     let mut at_min = 0usize;
@@ -240,7 +244,8 @@ pub fn check_channel_capacity(dfg: &Dfg, caps: &ChannelCapacity) -> Vec<Diagnost
             }
             let cap = caps.of(ni as u32, p as u16);
             if cap < need {
-                let feeders: Vec<&str> = maps.producers[ni][p]
+                let feeders: Vec<&str> = maps
+                    .producers(ni, p)
                     .iter()
                     .map(|&(q, _)| dfg.nodes[q.0 as usize].label.as_str())
                     .collect();
@@ -271,7 +276,7 @@ pub fn check_channel_capacity(dfg: &Dfg, caps: &ChannelCapacity) -> Vec<Diagnost
             (0..dfg.nodes[ni].ins.len()).any(|p| {
                 depths.min[ni][p] > 0
                     && caps.of(ni as u32, p as u16) == depths.min[ni][p]
-                    && maps.producers[ni][p].iter().any(|(q, _)| cycle.contains(q))
+                    && maps.producers(ni, p).iter().any(|(q, _)| cycle.contains(q))
             })
         });
         if !zero_slack {
@@ -308,7 +313,7 @@ pub fn check_channel_capacity(dfg: &Dfg, caps: &ChannelCapacity) -> Vec<Diagnost
 
 /// Nontrivial strongly connected components (size > 1, or a self-loop),
 /// via Kosaraju's two passes over the prebuilt adjacency.
-fn nontrivial_sccs(succs: &[Vec<NodeId>], preds: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
+fn nontrivial_sccs(succs: &Rows<NodeId>, preds: &Rows<NodeId>) -> Vec<Vec<NodeId>> {
     let n = succs.len();
     // Pass 1: finish order by iterative DFS over the forward graph.
     let mut order = Vec::with_capacity(n);

@@ -75,6 +75,15 @@ use tyr_ir::{MemoryImage, Value};
 use tyr_sim::ordered::ChannelCapacity;
 use tyr_sim::tagged::TagPolicy;
 
+use absint::footprint::analyze_footprint_with;
+use absint::indexset::IndexSets;
+use absint::occupancy::check_channel_capacity_with;
+use absint::EdgeMaps;
+use passes::{
+    check_barrier_coverage_with, check_edge_residency_with, check_lints_with, check_races_with,
+    footprint_diags,
+};
+
 /// Runs the input-independent static passes (structure, barrier coverage,
 /// lifecycle lints) over one graph.
 ///
@@ -89,6 +98,9 @@ pub fn verify(title: &str, dfg: &Dfg) -> Report {
 /// [`TagPolicy`] to check against the graph's static tag demand, and/or the
 /// memory image and arguments the graph will run with (enabling the race
 /// pass, which must know the segment layout).
+///
+/// The graph facts the passes share — edge maps, and the index sets when
+/// memory is given — are built once for the whole call.
 pub fn verify_with(
     title: &str,
     dfg: &Dfg,
@@ -100,15 +112,15 @@ pub fn verify_with(
     if !report.is_clean() {
         return report;
     }
-    report.extend(check_barrier_coverage(dfg));
-    report.extend(check_lints(dfg));
+    let maps = EdgeMaps::new(dfg);
+    report.extend(check_barrier_coverage_with(dfg, &maps));
+    report.extend(check_lints_with(dfg, &maps));
     if let Some(p) = policy {
         report.extend(check_tag_policy(dfg, p));
         report.extend(check_live_state(dfg, p));
     }
     if let Some((mem, args)) = memory {
-        report.extend(check_races(dfg, mem, args));
-        report.extend(check_footprint(dfg, mem, args));
+        report.extend(memory_passes(dfg, &maps, mem, args));
     }
     report
 }
@@ -117,6 +129,9 @@ pub fn verify_with(
 /// the channel-occupancy pass checked against the FIFO capacities the
 /// ordered engine will run with (the ordered analogue of handing
 /// [`verify_with`] a [`TagPolicy`]).
+///
+/// Edge maps, channel depths and (with memory) index sets are built once
+/// for the whole call.
 pub fn verify_ordered(
     title: &str,
     dfg: &Dfg,
@@ -128,13 +143,22 @@ pub fn verify_ordered(
     if !report.is_clean() {
         return report;
     }
-    report.extend(check_barrier_coverage(dfg));
-    report.extend(check_lints(dfg));
-    report.extend(check_channel_capacity(dfg, caps));
-    report.extend(check_edge_residency(dfg));
+    let maps = EdgeMaps::new(dfg);
+    report.extend(check_barrier_coverage_with(dfg, &maps));
+    report.extend(check_lints_with(dfg, &maps));
+    let depths = analyze_channel_depths(dfg, &maps);
+    report.extend(check_channel_capacity_with(dfg, &maps, &depths, caps));
+    report.extend(check_edge_residency_with(dfg, &depths));
     if let Some((mem, args)) = memory {
-        report.extend(check_races(dfg, mem, args));
-        report.extend(check_footprint(dfg, mem, args));
+        report.extend(memory_passes(dfg, &maps, mem, args));
     }
     report
+}
+
+/// The race and footprint passes over one index-set fixpoint.
+fn memory_passes(dfg: &Dfg, maps: &EdgeMaps, mem: &MemoryImage, args: &[Value]) -> Vec<Diagnostic> {
+    let index = IndexSets::new(dfg, maps, mem, args);
+    let mut out = check_races_with(dfg, maps, &index);
+    out.extend(footprint_diags(dfg, &analyze_footprint_with(dfg, maps, &index)));
+    out
 }

@@ -26,6 +26,11 @@ use crate::passes::reach;
 
 /// Runs the free-barrier coverage pass.
 pub fn check_barrier_coverage(dfg: &Dfg) -> Vec<Diagnostic> {
+    check_barrier_coverage_with(dfg, &EdgeMaps::new(dfg))
+}
+
+/// [`check_barrier_coverage`] over already-built edge maps.
+pub(crate) fn check_barrier_coverage_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
     let frees: Vec<NodeId> = dfg
         .nodes
         .iter()
@@ -38,7 +43,6 @@ pub fn check_barrier_coverage(dfg: &Dfg) -> Vec<Diagnostic> {
     }
 
     // Work on the reversed graph: "reaches X" = backward-reachable from X.
-    let maps = EdgeMaps::new(dfg);
     let reaches_sink = reach(&maps.preds, [dfg.sink]);
     // Per block: the set of nodes reaching any of *that block's* frees.
     let mut reaches_block_free: Vec<Option<Vec<bool>>> = vec![None; dfg.blocks.len()];

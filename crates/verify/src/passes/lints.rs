@@ -22,8 +22,12 @@ use crate::passes::reach;
 
 /// Runs the lifecycle lints.
 pub fn check_lints(dfg: &Dfg) -> Vec<Diagnostic> {
+    check_lints_with(dfg, &EdgeMaps::new(dfg))
+}
+
+/// [`check_lints`] over already-built edge maps.
+pub(crate) fn check_lints_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let maps = EdgeMaps::new(dfg);
 
     // L001: dangling data outputs.
     for (ni, n) in dfg.nodes.iter().enumerate() {

@@ -1,9 +1,12 @@
 //! Static analysis passes over lowered dataflow graphs.
 //!
 //! Each pass is a pure function `&Dfg → Vec<Diagnostic>`; the conveniences
-//! in the crate root compose them into a [`Report`](crate::Report). Passes
-//! share the [`EdgeMaps`](crate::absint::EdgeMaps) view, which augments the
-//! graph's static edges with the *dynamically routed* edges of
+//! in the crate root compose them into a [`Report`](crate::Report). A pass
+//! that reads graph facts has a crate-private `…_with` body taking them
+//! already built, so a battery builds each fact once per call; the public
+//! function is a thin wrapper that builds its own and calls that body.
+//! Passes share the [`EdgeMaps`](crate::absint::EdgeMaps) view, which
+//! augments the graph's static edges with the *dynamically routed* edges of
 //! `changeTag.dyn` nodes (function returns): without them, call-return
 //! landing pads look unreachable and callee bodies look disconnected from
 //! the caller's barrier.
@@ -17,14 +20,18 @@ mod tags;
 mod workingset;
 
 pub use barrier::check_barrier_coverage;
+pub(crate) use barrier::check_barrier_coverage_with;
 pub use lints::check_lints;
+pub(crate) use lints::check_lints_with;
 pub use races::check_races;
+pub(crate) use races::check_races_with;
 pub use shard::{
     analyze_shards, check_shards, verify_shards, BoundaryFlow, MemClaims, ShardBudget,
     ShardCertificate, ShardCollision, ShardTagCheck,
 };
 pub use structure::check_structure;
 pub use tags::{analyze_tag_demand, check_tag_policy, predict_global, GlobalPrediction, TagDemand};
+pub(crate) use workingset::check_edge_residency_with;
 pub use workingset::{
     analyze_live_state, check_edge_residency, check_footprint, check_live_state,
     compare_elaborations, footprint_diags, ordered_live_bound, BlockLiveBound, ElaborationBounds,
@@ -32,6 +39,8 @@ pub use workingset::{
 };
 
 use tyr_dfg::{Dfg, InKind, NodeId, NodeKind, PortRef};
+
+use crate::absint::Rows;
 
 /// Resolves the possible routing targets of a `changeTag.dyn` node.
 ///
@@ -98,7 +107,7 @@ pub(crate) fn dyn_targets(dfg: &Dfg, node: NodeId) -> Vec<PortRef> {
 }
 
 /// Forward BFS over `succs` from `starts`; returns a visited bitmap.
-pub(crate) fn reach(succs: &[Vec<NodeId>], starts: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+pub(crate) fn reach(succs: &Rows<NodeId>, starts: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
     let mut seen = vec![false; succs.len()];
     let mut work: Vec<NodeId> =
         starts.into_iter().filter(|s| (s.0 as usize) < succs.len()).collect();

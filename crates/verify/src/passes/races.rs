@@ -40,72 +40,49 @@
 use tyr_dfg::{Dfg, NodeId, NodeKind};
 use tyr_ir::{MemoryImage, Value};
 
-use crate::absint::indexset::{analyze, segments_of, AbsVal, IndexAnalysis, Segment};
+use crate::absint::indexset::{AbsVal, IndexSets, Segment};
 use crate::absint::si::Si;
-use crate::absint::{input_value, EdgeMaps};
+use crate::absint::EdgeMaps;
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::passes::reach;
 
 /// Runs the race pass against the memory image and program arguments the
 /// graph will execute with.
 pub fn check_races(dfg: &Dfg, mem: &MemoryImage, args: &[Value]) -> Vec<Diagnostic> {
-    let segments = segments_of(mem);
-    if segments.is_empty() {
+    if mem.arrays().next().is_none() {
         return Vec::new();
     }
     let maps = EdgeMaps::new(dfg);
-    let analysis = IndexAnalysis::new(&segments, args);
-    let values = analyze(dfg, &maps, &segments, args);
+    check_races_with(dfg, &maps, &IndexSets::new(dfg, &maps, mem, args))
+}
 
-    // Memory accesses with a classified address (in0).
-    #[derive(Clone, Copy, PartialEq)]
-    enum Acc {
-        Load,
-        Store,
-        StoreAdd,
+/// [`check_races`] over already-built graph facts.
+pub(crate) fn check_races_with(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) -> Vec<Diagnostic> {
+    let segments = &index.segments;
+    if segments.is_empty() {
+        return Vec::new();
     }
-    let accesses: Vec<(NodeId, Acc, AbsVal)> = dfg
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(ni, node)| {
-            let kind = match node.kind {
-                NodeKind::Load => Acc::Load,
-                NodeKind::Store => Acc::Store,
-                NodeKind::StoreAdd => Acc::StoreAdd,
-                _ => return None,
-            };
-            let addr = input_value(dfg, &maps, &analysis, &values, ni, 0);
-            (addr.mask != 0).then_some((NodeId(ni as u32), kind, addr))
-        })
-        .collect();
-
-    // Pairwise ordering among accesses (dyn edges included), then judge
-    // unordered same-block overlaps involving a plain store.
-    let reaches: Vec<Vec<bool>> =
-        accesses.iter().map(|&(a, _, _)| reach(&maps.succs, [a])).collect();
-
+    // Memory accesses with a classified address (in0); judge unordered
+    // same-block overlaps involving a plain store.
+    let accesses = collect_accesses(dfg, maps, index, |addr| addr.mask != 0);
     let mut out = Vec::new();
-    for i in 0..accesses.len() {
-        for j in i + 1..accesses.len() {
-            let (a, ka, ref ma) = accesses[i];
-            let (b, kb, ref mb) = accesses[j];
+    for (i, x) in accesses.iter().enumerate() {
+        for y in &accesses[i + 1..] {
+            let (a, b, ma, mb) = (x.node, y.node, &x.addr, &y.addr);
             let overlap = ma.mask & mb.mask;
             if overlap == 0
                 || dfg.nodes[a.0 as usize].block != dfg.nodes[b.0 as usize].block
-                || !(ka == Acc::Store || kb == Acc::Store)
+                || !(x.kind == Acc::Store || y.kind == Acc::Store)
+                || x.ordered_with(y)
             {
                 continue;
             }
-            if reaches[i][b.0 as usize] || reaches[j][a.0 as usize] {
-                continue; // ordered by a dependence path
-            }
-            let code = if ka != Acc::Load && kb != Acc::Load {
+            let code = if x.kind != Acc::Load && y.kind != Acc::Load {
                 Code::StoreStoreRace
             } else {
                 Code::LoadStoreRace
             };
-            match judge(&segments, overlap, ma, mb) {
+            match judge(segments, overlap, ma, mb) {
                 Verdict::Disjoint => {} // proven race-free: suppressed
                 Verdict::Collides { segment, index } => {
                     let what =
@@ -134,7 +111,7 @@ pub fn check_races(dfg: &Dfg, mem: &MemoryImage, args: &[Value]) -> Vec<Diagnost
                             "unordered {what} to segment(s) {} in the same concurrent block \
                              (with {b} '{}'; index sets {} vs {}); if the index sets overlap, \
                              use storeAdd or add an ordering dependence",
-                            seg_names(&segments, overlap),
+                            seg_names(segments, overlap),
                             dfg.nodes[b.0 as usize].label,
                             render_num(ma),
                             render_num(mb),
@@ -142,6 +119,57 @@ pub fn check_races(dfg: &Dfg, mem: &MemoryImage, args: &[Value]) -> Vec<Diagnost
                     ));
                 }
             }
+        }
+    }
+    out
+}
+
+/// How a memory access touches its word.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Acc {
+    Load,
+    Store,
+    StoreAdd,
+}
+
+/// One `load`/`store`/`store+` the pair judgments consider.
+pub(crate) struct Access {
+    pub(crate) node: NodeId,
+    pub(crate) kind: Acc,
+    /// The abstract address (input 0).
+    pub(crate) addr: AbsVal,
+    /// Forward reachability from the access, dynamic routing included.
+    reaches: Vec<bool>,
+}
+
+impl Access {
+    /// Whether a dependence path orders the two accesses, either way.
+    pub(crate) fn ordered_with(&self, other: &Access) -> bool {
+        self.reaches[other.node.0 as usize] || other.reaches[self.node.0 as usize]
+    }
+}
+
+/// Every memory access whose abstract address satisfies `keep`, in node
+/// order. Shared by the race pass (same-block pairs) and the shard pass's
+/// P001 (cross-block pairs).
+pub(crate) fn collect_accesses(
+    dfg: &Dfg,
+    maps: &EdgeMaps,
+    index: &IndexSets,
+    keep: impl Fn(&AbsVal) -> bool,
+) -> Vec<Access> {
+    let mut out = Vec::new();
+    for (ni, node) in dfg.nodes.iter().enumerate() {
+        let kind = match node.kind {
+            NodeKind::Load => Acc::Load,
+            NodeKind::Store => Acc::Store,
+            NodeKind::StoreAdd => Acc::StoreAdd,
+            _ => continue,
+        };
+        let addr = index.address(dfg, maps, ni);
+        if keep(&addr) {
+            let node = NodeId(ni as u32);
+            out.push(Access { node, kind, addr, reaches: reach(&maps.succs, [node]) });
         }
     }
     out

@@ -39,13 +39,13 @@ use tyr_ir::{MemoryImage, Value};
 use tyr_sim::ordered::ChannelCapacity;
 use tyr_sim::tagged::TagPolicy;
 
-use crate::absint::indexset::{analyze, segments_of, AbsVal, IndexAnalysis};
-use crate::absint::{input_value, EdgeMaps};
+use crate::absint::indexset::IndexSets;
+use crate::absint::EdgeMaps;
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::partition::{partition, ShardPlan};
-use crate::passes::races::{judge, Verdict};
+use crate::passes::races::{collect_accesses, judge, Acc, Verdict};
 use crate::passes::workingset::Instances;
-use crate::passes::{analyze_live_state, dyn_targets, reach};
+use crate::passes::{analyze_live_state, reach};
 
 /// The per-shard resource budget the plan is certified against: the tag
 /// policy of a tagged elaboration, or the channel capacities of an ordered
@@ -163,24 +163,20 @@ struct CutEdge {
     to: NodeId,
 }
 
-/// Collects every node-level token edge (dyn routing included) whose
-/// endpoints live in different shards.
-fn collect_cut_edges(dfg: &Dfg, node_shard: &[u32]) -> Vec<CutEdge> {
+/// Collects every node-level token edge whose endpoints live in different
+/// shards: each static edge (duplicates kept), then each synthesized
+/// `changeTag.dyn` edge no static edge already covers, once.
+fn collect_cut_edges(dfg: &Dfg, maps: &EdgeMaps, node_shard: &[u32]) -> Vec<CutEdge> {
     let mut out = Vec::new();
     for e in dfg.edges() {
         if node_shard[e.from.0 as usize] != node_shard[e.to.0 as usize] {
             out.push(CutEdge { from: e.from, to: e.to });
         }
     }
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        if matches!(node.kind, NodeKind::ChangeTagDyn) {
-            for t in dyn_targets(dfg, NodeId(ni as u32)) {
-                if node_shard[ni] != node_shard[t.node.0 as usize] {
-                    let e = CutEdge { from: NodeId(ni as u32), to: t.node };
-                    if !out.contains(&e) {
-                        out.push(e);
-                    }
-                }
+    for ni in 0..dfg.nodes.len() {
+        for &to in maps.dyn_succs(ni) {
+            if node_shard[ni] != node_shard[to.0 as usize] {
+                out.push(CutEdge { from: NodeId(ni as u32), to });
             }
         }
     }
@@ -188,69 +184,35 @@ fn collect_cut_edges(dfg: &Dfg, node_shard: &[u32]) -> Vec<CutEdge> {
 }
 
 /// Derives the P001 memory verdicts for every cross-block access pair.
-fn mem_claims(dfg: &Dfg, maps: &EdgeMaps, mem: &MemoryImage, args: &[Value]) -> MemClaims {
-    let segments = segments_of(mem);
-    let analysis = IndexAnalysis::new(&segments, args);
-    let values = analyze(dfg, maps, &segments, args);
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Acc {
-        Load,
-        Store,
-        StoreAdd,
-    }
-    // Every reachable access; `None` address = no segment provenance (the
-    // access may touch anything, unlike the race pass we must not drop it —
-    // it poisons its block's pairs to "undecided").
-    let accesses: Vec<(NodeId, Acc, Option<AbsVal>)> = dfg
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(ni, node)| {
-            let kind = match node.kind {
-                NodeKind::Load => Acc::Load,
-                NodeKind::Store => Acc::Store,
-                NodeKind::StoreAdd => Acc::StoreAdd,
-                _ => return None,
-            };
-            let addr = input_value(dfg, maps, &analysis, &values, ni, 0);
-            if addr.is_bottom() {
-                return None; // no token ever reaches this access
-            }
-            let addr = (addr.mask != 0).then_some(addr);
-            Some((NodeId(ni as u32), kind, addr))
-        })
-        .collect();
-
-    let reaches: Vec<Vec<bool>> =
-        accesses.iter().map(|&(a, _, _)| reach(&maps.succs, [a])).collect();
+fn mem_claims(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) -> MemClaims {
+    let segments = &index.segments;
+    // Every reachable access; one with no segment provenance (mask 0) may
+    // touch anything, so unlike the race pass we must not drop it — it
+    // poisons its block's pairs to "undecided".
+    let accesses = collect_accesses(dfg, maps, index, |addr| !addr.is_bottom());
 
     // Per block pair (lower id first): did we see a relevant access pair,
     // and was any of them undecided?
     let mut seen: BTreeMap<(u32, u32), bool> = BTreeMap::new(); // value: any undecided
     let mut collisions = Vec::new();
-    for i in 0..accesses.len() {
-        for j in i + 1..accesses.len() {
-            let (a, ka, ref ma) = accesses[i];
-            let (b, kb, ref mb) = accesses[j];
+    for (i, x) in accesses.iter().enumerate() {
+        for y in &accesses[i + 1..] {
+            let (a, b, ma, mb) = (x.node, y.node, &x.addr, &y.addr);
             let (ba, bb) = (dfg.nodes[a.0 as usize].block, dfg.nodes[b.0 as usize].block);
-            if ba == bb || !(ka == Acc::Store || kb == Acc::Store) {
+            if ba == bb || !(x.kind == Acc::Store || y.kind == Acc::Store) || x.ordered_with(y) {
                 continue;
-            }
-            if reaches[i][b.0 as usize] || reaches[j][a.0 as usize] {
-                continue; // ordered by a dependence path
             }
             let key = (ba.0.min(bb.0), ba.0.max(bb.0));
             let entry = seen.entry(key).or_insert(false);
-            let (Some(ma), Some(mb)) = (ma, mb) else {
+            if ma.mask == 0 || mb.mask == 0 {
                 *entry = true; // no provenance on one side: undecidable
                 continue;
-            };
+            }
             let overlap = ma.mask & mb.mask;
             if overlap == 0 {
                 continue; // disjoint by segment separation
             }
-            match judge(&segments, overlap, ma, mb) {
+            match judge(segments, overlap, ma, mb) {
                 Verdict::Disjoint => {}
                 Verdict::Collides { segment, index } => collisions.push(ShardCollision {
                     a,
@@ -295,7 +257,21 @@ pub fn analyze_shards(
     memory: Option<(&MemoryImage, &[Value])>,
 ) -> ShardCertificate {
     let maps = EdgeMaps::new(dfg);
-    let mem = memory.map(|(m, args)| mem_claims(dfg, &maps, m, args));
+    let index = memory.map(|(mem, args)| IndexSets::new(dfg, &maps, mem, args));
+    analyze_shards_with(dfg, &maps, k, seed, budget, index.as_ref())
+}
+
+/// [`analyze_shards`] over already-built graph facts; `index` is present
+/// exactly when a memory context was supplied.
+fn analyze_shards_with(
+    dfg: &Dfg,
+    maps: &EdgeMaps,
+    k: usize,
+    seed: u64,
+    budget: Option<ShardBudget<'_>>,
+    index: Option<&IndexSets>,
+) -> ShardCertificate {
+    let mem = index.map(|index| mem_claims(dfg, maps, index));
     let colocate: Vec<(BlockId, BlockId)> =
         mem.as_ref().map(|c| c.undecided.clone()).unwrap_or_default();
     let plan = partition(dfg, k, seed, &colocate);
@@ -367,7 +343,7 @@ pub fn analyze_shards(
             None => None,
         }
     };
-    let cut = collect_cut_edges(dfg, &node_shard);
+    let cut = collect_cut_edges(dfg, maps, &node_shard);
     let mut flows: BTreeMap<(u32, u32), (u64, Option<u64>)> = BTreeMap::new();
     for e in &cut {
         let key = (node_shard[e.from.0 as usize], node_shard[e.to.0 as usize]);
@@ -432,10 +408,15 @@ pub fn analyze_shards(
 
 /// Runs the P001–P004 checks over an already-computed certificate.
 pub fn check_shards(dfg: &Dfg, cert: &ShardCertificate) -> Vec<Diagnostic> {
+    check_shards_with(dfg, &EdgeMaps::new(dfg), cert)
+}
+
+/// [`check_shards`] over already-built edge maps.
+fn check_shards_with(dfg: &Dfg, maps: &EdgeMaps, cert: &ShardCertificate) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     check_memory(dfg, cert, &mut out);
     check_tag_budgets(cert, &mut out);
-    check_progress(dfg, cert, &mut out);
+    check_progress(dfg, maps, cert, &mut out);
     check_traffic(cert, &mut out);
     out
 }
@@ -551,9 +532,8 @@ fn check_tag_budgets(cert: &ShardCertificate, out: &mut Vec<Diagnostic>) {
 }
 
 /// P003: progress summaries over the cut.
-fn check_progress(dfg: &Dfg, cert: &ShardCertificate, out: &mut Vec<Diagnostic>) {
-    let maps = EdgeMaps::new(dfg);
-    let cut = collect_cut_edges(dfg, &cert.node_shard);
+fn check_progress(dfg: &Dfg, maps: &EdgeMaps, cert: &ShardCertificate, out: &mut Vec<Diagnostic>) {
+    let cut = collect_cut_edges(dfg, maps, &cert.node_shard);
     if cut.is_empty() {
         out.push(Diagnostic::global(
             Code::ShardProgress,
@@ -710,9 +690,11 @@ pub fn verify_shards(
     budget: Option<ShardBudget<'_>>,
     memory: Option<(&MemoryImage, &[Value])>,
 ) -> (ShardCertificate, Report) {
-    let cert = analyze_shards(dfg, k, seed, budget, memory);
+    let maps = EdgeMaps::new(dfg);
+    let index = memory.map(|(mem, args)| IndexSets::new(dfg, &maps, mem, args));
+    let cert = analyze_shards_with(dfg, &maps, k, seed, budget, index.as_ref());
     let mut report = Report::new(title);
-    report.extend(check_shards(dfg, &cert));
+    report.extend(check_shards_with(dfg, &maps, &cert));
     (cert, report)
 }
 

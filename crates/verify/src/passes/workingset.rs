@@ -35,7 +35,7 @@ use tyr_sim::ordered::ChannelCapacity;
 use tyr_sim::tagged::TagPolicy;
 
 use crate::absint::footprint::{analyze_footprint, FootprintAnalysis};
-use crate::absint::occupancy::analyze_channel_depths;
+use crate::absint::occupancy::{analyze_channel_depths, ChannelDepths};
 use crate::absint::EdgeMaps;
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::passes::analyze_tag_demand;
@@ -210,8 +210,11 @@ pub fn footprint_diags(dfg: &Dfg, fp: &FootprintAnalysis) -> Vec<Diagnostic> {
 
 /// W004: per-edge token residency of an ordered lowering, from the O-pass.
 pub fn check_edge_residency(dfg: &Dfg) -> Vec<Diagnostic> {
-    let maps = EdgeMaps::new(dfg);
-    let depths = analyze_channel_depths(dfg, &maps);
+    check_edge_residency_with(dfg, &analyze_channel_depths(dfg, &EdgeMaps::new(dfg)))
+}
+
+/// [`check_edge_residency`] over already-computed channel depths.
+pub(crate) fn check_edge_residency_with(dfg: &Dfg, depths: &ChannelDepths) -> Vec<Diagnostic> {
     let mut fed = 0u64;
     let mut total = 0u64;
     let mut worst: Option<(usize, usize, usize)> = None; // (node, port, recommended)

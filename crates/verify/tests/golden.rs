@@ -3,7 +3,8 @@
 //!
 //! The snapshots pin the *complete rendered report* for `dmv` and `spmspv`
 //! under all three tagged elaborations, each checked against a
-//! deliberately scarce tag policy so the reports are non-trivial: message
+//! deliberately scarce tag policy so the reports are non-trivial, and
+//! under the ordered elaboration at two FIFO depths: message
 //! drift (wording, ordering, severities, locations) shows up as a test
 //! diff in review instead of silently reaching users. Regenerate with
 //! `TYR_BLESS=1 cargo test -p tyr-verify --test golden` after an
@@ -12,9 +13,10 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use tyr_dfg::lower::{lower_tagged, TaggingDiscipline};
+use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
+use tyr_sim::ordered::ChannelCapacity;
 use tyr_sim::tagged::TagPolicy;
-use tyr_verify::{analyze_footprint, analyze_live_state, check_races, verify_with};
+use tyr_verify::{analyze_footprint, analyze_live_state, check_races, verify_ordered, verify_with};
 use tyr_workloads::{by_name, suite, Scale};
 
 /// Seed for the workload generator; must stay fixed or every snapshot
@@ -61,6 +63,26 @@ fn snapshot_diagnostics_for_dmv_and_spmspv() {
             let title = format!("{kernel}/{label}");
             let report = verify_with(&title, &dfg, Some(policy), Some((&w.memory, &w.args)));
             golden(&format!("{kernel}_{label}"), &report.render());
+        }
+    }
+}
+
+/// Golden snapshots for the ordered battery: `verify_ordered` with memory
+/// context on the ordered lowerings of `dmv` and `spmspv`, at the static
+/// minimum FIFO depth (O002 zero-slack notes, O003 on the data-dependent
+/// sparse loops) and at the harness default of 4. `verify_ordered` shares
+/// the most analysis between its passes (edge maps, channel depths, index
+/// sets), so these pin that sharing against drift.
+#[test]
+fn snapshot_ordered_reports_for_dmv_and_spmspv() {
+    for kernel in ["dmv", "spmspv"] {
+        let w = by_name(kernel, Scale::Tiny, SEED).unwrap();
+        let dfg = lower_ordered(&w.program).unwrap();
+        for depth in [1usize, 4] {
+            let title = format!("{kernel}/ordered/depth-{depth}");
+            let caps = ChannelCapacity::uniform(depth);
+            let report = verify_ordered(&title, &dfg, &caps, Some((&w.memory, &w.args)));
+            golden(&format!("ordered_{kernel}_depth-{depth}"), &report.render());
         }
     }
 }
