@@ -42,6 +42,21 @@ cargo test --offline --release -q -p tyr-sim --lib -- --exact \
 cargo test --offline --release -q -p tyr-verify --lib -- --exact \
   absint::tests::edge_maps_match_the_nested_reference
 cargo test --offline --release -q -p tyr-verify --test composition
+# The front end allocates once per graph, not once per node (DESIGN.md
+# §3.1, §3.2): the linear-time `ir::validate` against the scope-copying
+# validator it replaced, on 500 generated programs, the suite and a calling
+# program plus their mutations (same `Result`, so the same first error);
+# the flat `Dfg` rows against the nested-`Vec` builder, row for row and
+# edge for edge, over every lowering of the same corpus, plus the raw-edit
+# path and a swap of two targets the comparison must catch; and an FNV-1a
+# of every lowering's DOT text; likewise by name and optimized.
+cargo test --offline --release -q -p tyr-ir --test validate_reference
+cargo test --offline --release -q -p tyr-dfg --lib -- --exact \
+  reference::tests::flat_graph_matches_the_nested_reference \
+  graph::tests::finish_keeps_each_ports_targets_in_connect_order \
+  graph::tests::the_reference_catches_two_swapped_targets \
+  graph::tests::raw_edits_match_the_same_edits_on_the_nested_reference
+cargo test --offline --release -q -p tyr-bench --test lower_golden
 # The pinned benchmark crate must keep building against the harness API, and
 # its parity check compares the public launch calls (`run_system`,
 # `LoweredWorkload`, `run_probed`, `fuzz::run_engine`) with the same runs
@@ -131,6 +146,11 @@ target/release/repro --scale tiny --jobs 2 bench --out "$bench_dir/jobs2.json"
 cmp "$bench_dir/jobs1.json" "$bench_dir/jobs2.json"
 target/release/repro bench-check "$bench_dir/jobs2.json"
 target/release/repro bench-check BENCH_suite.json
+# The same 35 cells at `ideal:200` (half of all cycles idle jumps) and
+# under a small cache with MSHR back-pressure, so the anchor covers the
+# three memory configurations, not `ideal:1` alone.
+target/release/repro bench-check BENCH_suite_lat200.json
+target/release/repro bench-check BENCH_suite_cached.json
 head -c 2000000 /dev/zero | tr '\0' '[' > "$bench_dir/deep.json"
 deep_rc=0
 target/release/repro bench-check "$bench_dir/deep.json" 2> "$bench_dir/deep.err" || deep_rc=$?

@@ -345,7 +345,7 @@ pub fn shard_violation(
         node_shard: cert.node_shard.clone(),
         boundary: cert.boundary.clone(),
         plain_store: cert.plain_store.clone(),
-        node_block: dfg.nodes.iter().map(|n| n.block.0).collect(),
+        node_block: dfg.nodes().map(|n| n.block().0).collect(),
     });
     let c = TaggedConfig { watchdog: dog, ..cfg.tagged(policy, &case.args) };
     let r = match TaggedEngine::with_probe(&dfg, case.memory.clone(), c, &mut sc).run() {

@@ -166,7 +166,7 @@ fn spec_of(dfg: &tyr_dfg::Dfg, cert: &ShardCertificate) -> ShardSpec {
         node_shard: cert.node_shard.clone(),
         boundary: cert.boundary.clone(),
         plain_store: cert.plain_store.clone(),
-        node_block: dfg.nodes.iter().map(|n| n.block.0).collect(),
+        node_block: dfg.nodes().map(|n| n.block().0).collect(),
     }
 }
 

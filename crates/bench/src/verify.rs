@@ -317,7 +317,7 @@ fn shard_cross_validation(ctx: &Ctx) -> usize {
             node_shard: cert.node_shard.clone(),
             boundary: cert.boundary.clone(),
             plain_store: cert.plain_store.clone(),
-            node_block: dfg.nodes.iter().map(|n| n.block.0).collect(),
+            node_block: dfg.nodes().map(|n| n.block().0).collect(),
         });
         let r = match trace::run_probed(ctx, w, "tyr", &mut sc) {
             Ok(r) => r,
@@ -377,10 +377,9 @@ fn ordered_cross_validation(ctx: &Ctx) -> usize {
             }
         };
         let victim = dfg
-            .nodes
-            .iter()
+            .nodes()
             .position(
-                |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+                |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
             )
             .map(|i| i as u32);
 

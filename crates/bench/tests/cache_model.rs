@@ -149,10 +149,9 @@ fn every_run_exit_carries_the_full_stat_set() {
     // capacity 0 lets the first row through, then wedges the loop behind
     // back-pressure: the carried value can never be delivered.
     let victim = dfg
-        .nodes
-        .iter()
+        .nodes()
         .position(
-            |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+            |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
         )
         .expect("dmv loops") as u32;
     let ordered = |depth_overrides: Vec<((u32, u16), usize)>, watchdog: Watchdog| {

@@ -12,6 +12,7 @@
 //! ordered-dataflow `CMerge`).
 
 use std::fmt;
+use std::ops::Range;
 
 use tyr_ir::{AluOp, Value};
 
@@ -207,21 +208,170 @@ pub enum InKind {
     Imm(Value),
 }
 
-/// One instruction node.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// The opcode.
-    pub kind: NodeKind,
-    /// The concurrent block (tag space) this node's tokens live in.
-    pub block: BlockId,
-    /// Input ports.
-    pub ins: Vec<InKind>,
-    /// Output ports: targets per port. An empty target list means tokens on
-    /// that port are discarded at zero cost (the edge does not exist).
-    pub outs: Vec<Vec<PortRef>>,
-    /// Diagnostic label.
-    pub label: String,
+/// A half-open range into one of a [`Dfg`]'s shared arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    lo: u32,
+    hi: u32,
 }
+
+impl Span {
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+}
+
+/// One node's fixed-size row: its opcode and block, plus where its inputs,
+/// output ports and label live in the graph's shared arrays.
+#[derive(Debug, Clone)]
+struct Head {
+    kind: NodeKind,
+    block: BlockId,
+    /// Into `ins`.
+    ins: Span,
+    /// Port indices into `port_off`; a node's ports are contiguous.
+    ports: Span,
+    /// Byte range into `labels`.
+    label: Span,
+}
+
+/// A borrowed view of one instruction node of a [`Dfg`].
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    dfg: &'a Dfg,
+    head: &'a Head,
+}
+
+impl<'a> Node<'a> {
+    /// The opcode.
+    #[inline]
+    pub fn kind(&self) -> &'a NodeKind {
+        &self.head.kind
+    }
+
+    /// The concurrent block (tag space) this node's tokens live in.
+    #[inline]
+    pub fn block(&self) -> BlockId {
+        self.head.block
+    }
+
+    /// Input ports.
+    #[inline]
+    pub fn ins(&self) -> &'a [InKind] {
+        &self.dfg.ins[self.head.ins.range()]
+    }
+
+    /// Output ports, each with its targets. An empty target list means
+    /// tokens on that port are discarded at zero cost (the edge does not
+    /// exist).
+    #[inline]
+    pub fn outs(&self) -> Ports<'a> {
+        let Span { lo, hi } = self.head.ports;
+        Ports { off: &self.dfg.port_off[lo as usize..=hi as usize], targets: &self.dfg.targets }
+    }
+
+    /// The targets of output `port`, in the order they were connected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no such port.
+    #[inline]
+    pub fn targets(&self, port: usize) -> &'a [PortRef] {
+        let p = self.head.ports.lo as usize + port;
+        assert!(p < self.head.ports.hi as usize, "no output port {port} on {}", self.label());
+        let off = &self.dfg.port_off;
+        &self.dfg.targets[off[p] as usize..off[p + 1] as usize]
+    }
+
+    /// Diagnostic label.
+    #[inline]
+    pub fn label(&self) -> &'a str {
+        &self.dfg.labels[self.head.label.range()]
+    }
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("kind", self.kind())
+            .field("block", &self.block())
+            .field("ins", &self.ins())
+            .field("outs", &self.outs().iter().collect::<Vec<_>>())
+            .field("label", &self.label())
+            .finish()
+    }
+}
+
+/// The output ports of one [`Node`]: a window of the graph's compressed
+/// port rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Ports<'a> {
+    /// `off[q]..off[q + 1]` indexes port `q`'s targets; one entry more than
+    /// there are ports.
+    off: &'a [u32],
+    targets: &'a [PortRef],
+}
+
+impl<'a> Ports<'a> {
+    /// Number of output ports.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Whether the node has no output ports.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The targets of port `q`, if it exists.
+    #[inline]
+    pub fn get(&self, q: usize) -> Option<&'a [PortRef]> {
+        let (lo, hi) = (*self.off.get(q)?, *self.off.get(q + 1)?);
+        Some(&self.targets[lo as usize..hi as usize])
+    }
+
+    /// Each port's targets, in port order.
+    #[inline]
+    pub fn iter(&self) -> PortIter<'a> {
+        PortIter { off: self.off.windows(2), targets: self.targets }
+    }
+}
+
+impl<'a> IntoIterator for Ports<'a> {
+    type Item = &'a [PortRef];
+    type IntoIter = PortIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> PortIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a node's output ports, yielding each port's targets.
+#[derive(Debug, Clone)]
+pub struct PortIter<'a> {
+    off: std::slice::Windows<'a, u32>,
+    targets: &'a [PortRef],
+}
+
+impl<'a> Iterator for PortIter<'a> {
+    type Item = &'a [PortRef];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [PortRef]> {
+        let targets = self.targets;
+        self.off.next().map(|w| &targets[w[0] as usize..w[1] as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.off.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PortIter<'_> {}
 
 /// Metadata for one concurrent block.
 #[derive(Debug, Clone)]
@@ -251,10 +401,22 @@ pub struct Edge {
 }
 
 /// An elaborated dataflow graph.
+///
+/// Stored as flat rows, so building, cloning or dropping one costs a
+/// handful of allocations however many nodes it has: a fixed-size head per
+/// node, every input kind in one array, every output port's targets in one
+/// compressed array (a node's ports contiguous, each port's targets in
+/// connect order), and every label in one string. Read nodes through
+/// [`Dfg::node`] and [`Dfg::nodes`].
 #[derive(Debug, Clone)]
 pub struct Dfg {
-    /// All nodes.
-    pub nodes: Vec<Node>,
+    heads: Vec<Head>,
+    ins: Vec<InKind>,
+    /// `port_off[p]..port_off[p + 1]` indexes port `p`'s targets; one entry
+    /// more than there are ports.
+    port_off: Vec<u32>,
+    targets: Vec<PortRef>,
+    labels: String,
     /// All concurrent blocks; index 0 is the root.
     pub blocks: Vec<BlockInfo>,
     /// The unique [`NodeKind::Source`].
@@ -271,26 +433,39 @@ impl Dfg {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+    #[inline]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        Node { dfg: self, head: &self.heads[id.0 as usize] }
+    }
+
+    /// The node for `id`, if it exists.
+    #[inline]
+    pub fn get(&self, id: NodeId) -> Option<Node<'_>> {
+        self.heads.get(id.0 as usize).map(|head| Node { dfg: self, head })
+    }
+
+    /// Every node, in id order.
+    #[inline]
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = Node<'_>> {
+        self.heads.iter().map(move |head| Node { dfg: self, head })
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.heads.is_empty()
     }
 
     /// Maximum number of *wired* input ports across nodes (the `M` of
     /// Theorem 2's `T · N · M` bound).
     pub fn max_wired_inputs(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.ins.iter().filter(|i| matches!(i, InKind::Wire)).count())
+        self.nodes()
+            .map(|n| n.ins().iter().filter(|i| matches!(i, InKind::Wire)).count())
             .max()
             .unwrap_or(0)
     }
@@ -298,17 +473,9 @@ impl Dfg {
     /// Iterates every static wire, in producer order. Dynamically routed
     /// `changeTag.dyn` deliveries are not static wires and are not
     /// included (see the verifier's `dyn_targets` for those).
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.nodes.iter().enumerate().flat_map(|(ni, n)| {
-            n.outs.iter().enumerate().flat_map(move |(q, targets)| {
-                targets.iter().map(move |t| Edge {
-                    from: NodeId(ni as u32),
-                    from_port: q as u16,
-                    to: t.node,
-                    to_port: t.port,
-                })
-            })
-        })
+    #[inline]
+    pub fn edges(&self) -> Edges<'_> {
+        Edges { dfg: self, node: 0, port: 0, next: 0 }
     }
 
     /// Looks up a block id by name.
@@ -331,24 +498,31 @@ impl Dfg {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn check(&self) -> Result<(), String> {
-        let any_free = self.nodes.iter().any(|n| matches!(n.kind, NodeKind::Free { .. }));
+        let any_free = self.heads.iter().any(|h| matches!(h.kind, NodeKind::Free { .. }));
         let mut alloc_spaces = Vec::new();
         let mut free_spaces = Vec::new();
-        for (ni, n) in self.nodes.iter().enumerate() {
-            if n.block.0 as usize >= self.blocks.len() {
-                return Err(format!("n{ni} ('{}') has out-of-range block {}", n.label, n.block));
+        for (ni, n) in self.nodes().enumerate() {
+            if n.block().0 as usize >= self.blocks.len() {
+                return Err(format!(
+                    "n{ni} ('{}') has out-of-range block {}",
+                    n.label(),
+                    n.block()
+                ));
             }
-            if !matches!(n.kind, NodeKind::Source)
-                && !n.ins.iter().any(|i| matches!(i, InKind::Wire))
+            if !matches!(n.kind(), NodeKind::Source)
+                && !n.ins().iter().any(|i| matches!(i, InKind::Wire))
             {
-                return Err(format!("n{ni} ('{}') has no wired inputs", n.label));
+                return Err(format!("n{ni} ('{}') has no wired inputs", n.label()));
             }
-            match &n.kind {
+            match n.kind() {
                 NodeKind::Allocate { space, .. } | NodeKind::Free { space } => {
                     if space.0 as usize >= self.blocks.len() {
-                        return Err(format!("n{ni} ('{}') references bad space {space}", n.label));
+                        return Err(format!(
+                            "n{ni} ('{}') references bad space {space}",
+                            n.label()
+                        ));
                     }
-                    if matches!(n.kind, NodeKind::Free { .. }) {
+                    if matches!(n.kind(), NodeKind::Free { .. }) {
                         free_spaces.push(*space);
                     } else {
                         alloc_spaces.push(*space);
@@ -356,12 +530,12 @@ impl Dfg {
                 }
                 _ => {}
             }
-            for (pi, targets) in n.outs.iter().enumerate() {
+            for (pi, targets) in n.outs().iter().enumerate() {
                 for t in targets {
-                    let Some(dst) = self.nodes.get(t.node.0 as usize) else {
+                    let Some(dst) = self.heads.get(t.node.0 as usize) else {
                         return Err(format!("n{ni}.o{pi} targets missing node {}", t.node));
                     };
-                    match dst.ins.get(t.port as usize) {
+                    match self.ins[dst.ins.range()].get(t.port as usize) {
                         Some(InKind::Wire) => {}
                         Some(InKind::Imm(_)) => {
                             return Err(format!(
@@ -401,32 +575,170 @@ impl Dfg {
         for (bi, block) in self.blocks.iter().enumerate() {
             let _ = writeln!(out, "  subgraph cluster_{bi} {{");
             let _ = writeln!(out, "    label=\"{} (cb{bi})\";", block.name);
-            for (ni, n) in self.nodes.iter().enumerate() {
-                if n.block.0 as usize == bi {
-                    let _ =
-                        writeln!(out, "    n{ni} [label=\"{}: {}\"];", n.label, n.kind.mnemonic());
+            for (ni, n) in self.nodes().enumerate() {
+                if n.block().0 as usize == bi {
+                    let _ = writeln!(
+                        out,
+                        "    n{ni} [label=\"{}: {}\"];",
+                        n.label(),
+                        n.kind().mnemonic()
+                    );
                 }
             }
             let _ = writeln!(out, "  }}");
         }
-        for (ni, n) in self.nodes.iter().enumerate() {
-            for (pi, targets) in n.outs.iter().enumerate() {
-                for t in targets {
-                    let _ =
-                        writeln!(out, "  n{ni} -> n{} [label=\"o{pi}->i{}\"];", t.node.0, t.port);
-                }
-            }
+        for e in self.edges() {
+            let _ = writeln!(
+                out,
+                "  n{} -> n{} [label=\"o{}->i{}\"];",
+                e.from.0, e.to.0, e.from_port, e.to_port
+            );
         }
         out.push_str("}\n");
         out
     }
 }
 
+/// Iterator over a [`Dfg`]'s static wires, from [`Dfg::edges`]. Walks the
+/// compressed target array once, in order: its producer port and node only
+/// ever move forward.
+#[derive(Debug, Clone)]
+pub struct Edges<'a> {
+    dfg: &'a Dfg,
+    /// The node owning `port`.
+    node: usize,
+    /// The port owning target `next`.
+    port: usize,
+    /// Index of the next target in `Dfg::targets`.
+    next: usize,
+}
+
+impl Iterator for Edges<'_> {
+    type Item = Edge;
+
+    #[inline]
+    fn next(&mut self) -> Option<Edge> {
+        let g = self.dfg;
+        let to = *g.targets.get(self.next)?;
+        while g.port_off[self.port + 1] as usize <= self.next {
+            self.port += 1;
+        }
+        while g.heads[self.node].ports.hi as usize <= self.port {
+            self.node += 1;
+        }
+        self.next += 1;
+        Some(Edge {
+            from: NodeId(self.node as u32),
+            from_port: (self.port - g.heads[self.node].ports.lo as usize) as u16,
+            to: to.node,
+            to_port: to.port,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.dfg.targets.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+/// Raw edits on a finished graph. They skip every check the builder makes,
+/// so tests can build the malformed graphs — edges to missing nodes or
+/// ports, nodes outside every barrier — that [`Dfg::check`], the verifier
+/// and the engines' sanitizers must catch. Each keeps the flat rows
+/// consistent (a node's ports contiguous, each port's targets in insertion
+/// order) at a cost linear in the graph.
+impl Dfg {
+    /// Appends a node with `n_outs` unwired output ports.
+    pub fn push_node(
+        &mut self,
+        kind: NodeKind,
+        block: BlockId,
+        ins: &[InKind],
+        n_outs: usize,
+        label: &str,
+    ) -> NodeId {
+        let id = NodeId(self.heads.len() as u32);
+        let ins = extend(&mut self.ins, ins.iter().copied());
+        let lo = (self.port_off.len() - 1) as u32;
+        let end = *self.port_off.last().expect("port rows end with a sentinel");
+        self.port_off.extend(std::iter::repeat_n(end, n_outs));
+        let ports = Span { lo, hi: lo + n_outs as u32 };
+        let label = push_label(&mut self.labels, label);
+        self.heads.push(Head { kind, block, ins, ports, label });
+        id
+    }
+
+    /// Adds one (unwired) output port after `node`'s last, returning its
+    /// index.
+    pub fn push_port(&mut self, node: NodeId) -> u16 {
+        let ports = self.heads[node.0 as usize].ports;
+        let at = ports.hi as usize;
+        self.port_off.insert(at, self.port_off[at]);
+        for h in &mut self.heads[node.0 as usize + 1..] {
+            h.ports.lo += 1;
+            h.ports.hi += 1;
+        }
+        self.heads[node.0 as usize].ports.hi += 1;
+        (ports.hi - ports.lo) as u16
+    }
+
+    /// Appends `to` after the existing targets of output `port` of `from`,
+    /// without checking that `to` exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or its output `port` does not exist.
+    pub fn push_target(&mut self, from: NodeId, port: u16, to: PortRef) {
+        let ports = self.heads[from.0 as usize].ports;
+        assert!((port as u32) < ports.hi - ports.lo, "no output port {port} on {from}");
+        let p = (ports.lo + port as u32) as usize;
+        self.targets.insert(self.port_off[p + 1] as usize, to);
+        for off in &mut self.port_off[p + 1..] {
+            *off += 1;
+        }
+    }
+
+    /// Replaces the opcode of `node`.
+    pub fn set_kind(&mut self, node: NodeId, kind: NodeKind) {
+        self.heads[node.0 as usize].kind = kind;
+    }
+}
+
+/// Appends `items` to `v`, returning where they landed.
+fn extend<T>(v: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Span {
+    let lo = v.len() as u32;
+    v.extend(items);
+    Span { lo, hi: v.len() as u32 }
+}
+
+/// Renders `label` onto the end of the label arena, returning its bytes.
+fn push_label(labels: &mut String, label: impl fmt::Display) -> Span {
+    use std::fmt::Write as _;
+    let lo = labels.len() as u32;
+    let _ = write!(labels, "{label}");
+    Span { lo, hi: labels.len() as u32 }
+}
+
 /// Mutable graph construction helper used by the lowering passes.
+///
+/// Nodes, input kinds and labels are appended to flat arrays as they are
+/// added; [`GraphBuilder::connect`] appends to one edge list, and
+/// [`GraphBuilder::finish`] places the edges into compressed per-port rows.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
-    nodes: Vec<Node>,
+    heads: Vec<Head>,
+    ins: Vec<InKind>,
+    n_ports: u32,
+    /// Every wire, in `connect` order: (producer port index, target).
+    edges: Vec<(u32, PortRef)>,
+    labels: String,
     blocks: Vec<BlockInfo>,
+    /// The nested-`Vec` builder the flat rows replaced, fed the same calls;
+    /// `finish` asserts both graphs agree row for row.
+    #[cfg(test)]
+    reference: crate::reference::Builder,
 }
 
 impl GraphBuilder {
@@ -442,23 +754,31 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds a node with `n_outs` (initially unwired) output ports.
+    /// Adds a node with `n_outs` (initially unwired) output ports. The
+    /// label is rendered straight into the graph's label arena, so passing
+    /// `format_args!` costs no allocation of its own.
     pub fn add_node(
         &mut self,
         kind: NodeKind,
         block: BlockId,
-        ins: Vec<InKind>,
+        ins: impl IntoIterator<Item = InKind>,
         n_outs: usize,
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind,
+        let id = NodeId(self.heads.len() as u32);
+        let ins = extend(&mut self.ins, ins);
+        let ports = Span { lo: self.n_ports, hi: self.n_ports + n_outs as u32 };
+        self.n_ports = ports.hi;
+        let label = push_label(&mut self.labels, label);
+        #[cfg(test)]
+        self.reference.add_node(
+            kind.clone(),
             block,
-            ins,
-            outs: vec![Vec::new(); n_outs],
-            label: label.into(),
-        });
+            self.ins[ins.range()].to_vec(),
+            n_outs,
+            self.labels[label.range()].to_string(),
+        );
+        self.heads.push(Head { kind, block, ins, ports, label });
         id
     }
 
@@ -468,29 +788,30 @@ impl GraphBuilder {
     ///
     /// Panics if either port does not exist, or the input is an immediate.
     pub fn connect(&mut self, from: NodeId, from_port: u16, to: PortRef) {
-        {
-            let dst = &self.nodes[to.node.0 as usize];
-            assert!(
-                (to.port as usize) < dst.ins.len(),
-                "no input port {} on {} ({})",
-                to.port,
-                to.node,
-                dst.label
-            );
-            assert!(
-                matches!(dst.ins[to.port as usize], InKind::Wire),
-                "input {} of {} is an immediate",
-                to.port,
-                to.node
-            );
-        }
-        let src = &mut self.nodes[from.0 as usize];
+        let dst = &self.heads[to.node.0 as usize];
+        let dst_ins = &self.ins[dst.ins.range()];
         assert!(
-            (from_port as usize) < src.outs.len(),
-            "no output port {from_port} on {from} ({})",
-            src.label
+            (to.port as usize) < dst_ins.len(),
+            "no input port {} on {} ({})",
+            to.port,
+            to.node,
+            &self.labels[dst.label.range()]
         );
-        src.outs[from_port as usize].push(to);
+        assert!(
+            matches!(dst_ins[to.port as usize], InKind::Wire),
+            "input {} of {} is an immediate",
+            to.port,
+            to.node
+        );
+        let src = &self.heads[from.0 as usize];
+        assert!(
+            (from_port as u32) < src.ports.hi - src.ports.lo,
+            "no output port {from_port} on {from} ({})",
+            &self.labels[src.label.range()]
+        );
+        self.edges.push((src.ports.lo + from_port as u32, to));
+        #[cfg(test)]
+        self.reference.connect(from, from_port, to);
     }
 
     /// Converts a (still unwired) input port into an immediate. Used when a
@@ -501,24 +822,22 @@ impl GraphBuilder {
     ///
     /// Panics if the port does not exist.
     pub fn set_imm(&mut self, node: NodeId, port: u16, value: Value) {
-        let n = &mut self.nodes[node.0 as usize];
-        assert!((port as usize) < n.ins.len(), "no input port {port} on {node}");
-        n.ins[port as usize] = InKind::Imm(value);
+        let ins = &mut self.ins[self.heads[node.0 as usize].ins.range()];
+        assert!((port as usize) < ins.len(), "no input port {port} on {node}");
+        ins[port as usize] = InKind::Imm(value);
+        #[cfg(test)]
+        self.reference.set_imm(node, port, value);
     }
 
     /// Number of nodes so far.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// Whether no nodes have been added.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Read access to a node under construction.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+        self.heads.is_empty()
     }
 
     /// Finalizes the graph. `n_returns` is the number of program outputs
@@ -529,10 +848,46 @@ impl GraphBuilder {
     /// Panics if `source`/`sink` do not refer to Source/Sink nodes, or the
     /// sink has fewer than `n_returns` inputs.
     pub fn finish(self, source: NodeId, sink: NodeId, n_returns: usize) -> Dfg {
-        assert!(matches!(self.nodes[source.0 as usize].kind, NodeKind::Source));
-        assert!(matches!(self.nodes[sink.0 as usize].kind, NodeKind::Sink));
-        assert!(self.nodes[sink.0 as usize].ins.len() >= n_returns);
-        Dfg { nodes: self.nodes, blocks: self.blocks, source, sink, n_returns }
+        assert!(matches!(self.heads[source.0 as usize].kind, NodeKind::Source));
+        let sink_head = &self.heads[sink.0 as usize];
+        assert!(matches!(sink_head.kind, NodeKind::Sink));
+        assert!(sink_head.ins.range().len() >= n_returns);
+        // Count each port's targets, turn the counts into row starts, then
+        // place every edge at its row's cursor. Placing in `connect` order
+        // keeps each port's targets in the order they were wired; each
+        // cursor ends at the next row's start, so shifting the array by one
+        // slot turns the cursors back into offsets.
+        let mut port_off = vec![0u32; self.n_ports as usize + 1];
+        for &(p, _) in &self.edges {
+            port_off[p as usize + 1] += 1;
+        }
+        for p in 1..port_off.len() {
+            port_off[p] += port_off[p - 1];
+        }
+        let mut targets = vec![PortRef { node: NodeId(0), port: 0 }; self.edges.len()];
+        for &(p, to) in &self.edges {
+            let at = &mut port_off[p as usize];
+            targets[*at as usize] = to;
+            *at += 1;
+        }
+        port_off.copy_within(..self.n_ports as usize, 1);
+        port_off[0] = 0;
+        let dfg = Dfg {
+            heads: self.heads,
+            ins: self.ins,
+            port_off,
+            targets,
+            labels: self.labels,
+            blocks: self.blocks,
+            source,
+            sink,
+            n_returns,
+        };
+        #[cfg(test)]
+        if let Err(e) = crate::reference::diff(&dfg, &self.reference.nodes) {
+            panic!("the flat graph differs from the nested reference: {e}");
+        }
+        dfg
     }
 }
 
@@ -572,7 +927,7 @@ mod tests {
         g.connect(add, 0, PortRef { node: sink, port: 0 });
         let dfg = g.finish(src, sink, 0);
         assert_eq!(dfg.len(), 3);
-        assert_eq!(dfg.node(src).outs[0], vec![PortRef { node: add, port: 0 }]);
+        assert_eq!(dfg.node(src).targets(0), [PortRef { node: add, port: 0 }]);
         assert_eq!(dfg.max_wired_inputs(), 1);
         assert_eq!(dfg.block_by_name("main"), Some(ROOT_BLOCK));
         assert_eq!(dfg.block_by_name("nope"), None);
@@ -615,6 +970,80 @@ mod tests {
                 Edge { from: add, from_port: 0, to: sink, to_port: 0 },
             ]
         );
+    }
+
+    /// A source fanning out to two consumers through one port, then a
+    /// second port: the graph the placement tests edit.
+    fn fan_out() -> (GraphBuilder, NodeId, NodeId) {
+        let mut g = GraphBuilder::new();
+        let root = g.add_block("main", None, false);
+        let src = g.add_node(NodeKind::Source, root, [], 2, "src");
+        let a = g.add_node(NodeKind::Alu(AluOp::Mov), root, [InKind::Wire], 1, "a");
+        let b = g.add_node(NodeKind::Alu(AluOp::Mov), root, [InKind::Wire], 1, "b");
+        let sink = g.add_node(NodeKind::Sink, root, [InKind::Wire; 3], 0, "sink");
+        g.connect(src, 0, PortRef { node: b, port: 0 });
+        g.connect(a, 0, PortRef { node: sink, port: 0 });
+        g.connect(src, 0, PortRef { node: a, port: 0 });
+        g.connect(b, 0, PortRef { node: sink, port: 1 });
+        g.connect(src, 1, PortRef { node: sink, port: 2 });
+        (g, src, sink)
+    }
+
+    #[test]
+    fn finish_keeps_each_ports_targets_in_connect_order() {
+        let (g, src, sink) = fan_out();
+        let dfg = g.finish(src, sink, 3);
+        assert_eq!(
+            dfg.node(src).targets(0),
+            [PortRef { node: NodeId(2), port: 0 }, PortRef { node: NodeId(1), port: 0 }]
+        );
+        assert_eq!(dfg.node(src).targets(1), [PortRef { node: sink, port: 2 }]);
+        assert!(dfg.node(sink).outs().is_empty());
+        assert_eq!(dfg.node(sink).label(), "sink");
+    }
+
+    #[test]
+    fn the_reference_catches_two_swapped_targets() {
+        let (g, src, sink) = fan_out();
+        let nested = g.reference.nodes.clone();
+        let mut dfg = g.finish(src, sink, 3);
+        assert_eq!(crate::reference::diff(&dfg, &nested), Ok(()));
+        dfg.targets.swap(0, 1);
+        let err = crate::reference::diff(&dfg, &nested).unwrap_err();
+        assert!(err.starts_with("n0:"), "{err}");
+    }
+
+    #[test]
+    fn raw_edits_match_the_same_edits_on_the_nested_reference() {
+        let (g, src, sink) = fan_out();
+        let mut nested = g.reference.nodes.clone();
+        let mut dfg = g.finish(src, sink, 3);
+        // A port on the sink (which has none), two targets on it, an extra
+        // target on a middle port, a new node wired to a missing one, and a
+        // changed opcode.
+        assert_eq!(dfg.push_port(sink), 0);
+        nested[3].outs.push(Vec::new());
+        for t in [PortRef { node: NodeId(1), port: 9 }, PortRef { node: NodeId(77), port: 0 }] {
+            dfg.push_target(sink, 0, t);
+            nested[3].outs[0].push(t);
+        }
+        dfg.push_target(src, 0, PortRef { node: sink, port: 0 });
+        nested[0].outs[0].push(PortRef { node: sink, port: 0 });
+        let n = dfg.push_node(NodeKind::Join, ROOT_BLOCK, &[InKind::Wire; 2], 1, "raw");
+        dfg.push_target(n, 0, PortRef { node: NodeId(5), port: 0 });
+        nested.push(crate::reference::Node {
+            kind: NodeKind::Join,
+            block: ROOT_BLOCK,
+            ins: vec![InKind::Wire; 2],
+            outs: vec![vec![PortRef { node: NodeId(5), port: 0 }]],
+            label: "raw".into(),
+        });
+        assert_eq!(dfg.push_port(NodeId(1)), 1);
+        nested[1].outs.push(Vec::new());
+        dfg.set_kind(NodeId(2), NodeKind::Alu(AluOp::Neg));
+        nested[2].kind = NodeKind::Alu(AluOp::Neg);
+        assert_eq!(crate::reference::diff(&dfg, &nested), Ok(()));
+        assert!(dfg.check().unwrap_err().contains("missing port"));
     }
 
     #[test]

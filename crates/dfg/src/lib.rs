@@ -38,9 +38,11 @@
 
 pub mod graph;
 pub mod lower;
+#[cfg(test)]
+mod reference;
 
 pub use graph::{
-    AllocKind, BlockId, BlockInfo, Dfg, Edge, GraphBuilder, InKind, Node, NodeId, NodeKind,
-    PortRef, ROOT_BLOCK,
+    AllocKind, BlockId, BlockInfo, Dfg, Edge, Edges, GraphBuilder, InKind, Node, NodeId, NodeKind,
+    PortIter, PortRef, Ports, ROOT_BLOCK,
 };
 pub use lower::{LowerError, TaggingDiscipline};

@@ -11,6 +11,7 @@
 //! exactly what CGRA compilers do.
 
 use std::collections::HashMap;
+use std::{fmt, iter};
 
 use tyr_ir::inline::{inline_calls, is_call_free};
 use tyr_ir::validate::validate;
@@ -44,7 +45,7 @@ pub fn lower_ordered(program: &Program) -> Result<Dfg, LowerError> {
     let mut g = GraphBuilder::new();
     let block = g.add_block("main", None, false);
     let func = program.entry_func();
-    let source = g.add_node(NodeKind::Source, block, vec![], func.params.len() + 1, "source");
+    let source = g.add_node(NodeKind::Source, block, [], func.params.len() + 1, "source");
 
     let mut lw = Ordered { g, block };
     let mut env: Env = HashMap::new();
@@ -63,8 +64,13 @@ pub fn lower_ordered(program: &Program) -> Result<Dfg, LowerError> {
             lw.materialize(s, &trigger)
         })
         .collect();
-    let sink =
-        lw.g.add_node(NodeKind::Sink, lw.block, vec![InKind::Wire; ret_srcs.len()], 0, "sink");
+    let sink = lw.g.add_node(
+        NodeKind::Sink,
+        lw.block,
+        iter::repeat_n(InKind::Wire, ret_srcs.len()),
+        0,
+        "sink",
+    );
     for (j, s) in ret_srcs.iter().enumerate() {
         lw.attach(s, PortRef { node: sink, port: j as u16 });
     }
@@ -99,15 +105,12 @@ impl Ordered {
         kind: NodeKind,
         inputs: &[Src],
         n_outs: usize,
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> NodeId {
-        let ins: Vec<InKind> = inputs
-            .iter()
-            .map(|s| match s {
-                Src::Imm(v) => InKind::Imm(*v),
-                Src::Port(..) => InKind::Wire,
-            })
-            .collect();
+        let ins = inputs.iter().map(|s| match s {
+            Src::Imm(v) => InKind::Imm(*v),
+            Src::Port(..) => InKind::Wire,
+        });
         let id = self.g.add_node(kind, self.block, ins, n_outs, label);
         for (i, s) in inputs.iter().enumerate() {
             self.attach(s, PortRef { node: id, port: i as u16 });
@@ -157,7 +160,7 @@ impl Ordered {
                         NodeKind::Alu(*op),
                         &[a, b],
                         1,
-                        format!("{dst}={}", op.mnemonic()),
+                        format_args!("{dst}={}", op.mnemonic()),
                     );
                     env.insert(*dst, Src::Port(n, 0));
                 }
@@ -166,7 +169,7 @@ impl Ordered {
                 let a = self.resolve(env, *addr);
                 let inputs: Vec<Src> =
                     if matches!(a, Src::Imm(_)) { vec![a, *trigger] } else { vec![a] };
-                let n = self.emit(NodeKind::Load, &inputs, 1, format!("{dst}=load"));
+                let n = self.emit(NodeKind::Load, &inputs, 1, format_args!("{dst}=load"));
                 env.insert(*dst, Src::Port(n, 0));
             }
             Stmt::Store { addr, value } | Stmt::StoreAdd { addr, value } => {
@@ -190,7 +193,8 @@ impl Ordered {
                 if let Src::Imm(cv) = c {
                     env.insert(*dst, if cv != 0 { t } else { f });
                 } else {
-                    let n = self.emit(NodeKind::Select, &[c, t, f], 1, format!("{dst}=select"));
+                    let n =
+                        self.emit(NodeKind::Select, &[c, t, f], 1, format_args!("{dst}=select"));
                     env.insert(*dst, Src::Port(n, 0));
                 }
             }
@@ -225,7 +229,12 @@ impl Ordered {
                             }
                             Some(src) => {
                                 let s = *steers.entry(v).or_insert_with(|| {
-                                    lw.emit(NodeKind::Steer, &[c, *src], 2, format!("steer.{v}"))
+                                    lw.emit(
+                                        NodeKind::Steer,
+                                        &[c, *src],
+                                        2,
+                                        format_args!("steer.{v}"),
+                                    )
                                 });
                                 out.insert(v, Src::Port(s, side));
                             }
@@ -253,7 +262,7 @@ impl Ordered {
                         NodeKind::CMerge { initial_ctl: vec![] },
                         &[c, es, ts],
                         1,
-                        format!("{d}=cmerge"),
+                        format_args!("{d}=cmerge"),
                     );
                     env.insert(d, Src::Port(m, 0));
                 }
@@ -282,9 +291,9 @@ impl Ordered {
             let cm = self.g.add_node(
                 NodeKind::CMerge { initial_ctl: vec![0] },
                 self.block,
-                vec![InKind::Wire, InKind::Wire, InKind::Wire],
+                [InKind::Wire; 3],
                 1,
-                format!("{}::carry.{v}", l.label),
+                format_args!("{}::carry.{v}", l.label),
             );
             match init_src {
                 Src::Imm(_) => unreachable!("materialized"),
@@ -306,7 +315,8 @@ impl Ordered {
             self.attach(&cond, PortRef { node: cm, port: 0 });
         }
         // Anchor steer: per-taken-iteration trigger token.
-        let anchor = self.emit(NodeKind::Steer, &[cond, cond], 2, format!("{}::anchor", l.label));
+        let anchor =
+            self.emit(NodeKind::Steer, &[cond, cond], 2, format_args!("{}::anchor", l.label));
         let body_trigger = Src::Port(anchor, 0);
 
         // Steers route carried/pre values into the body or out to the exits.
@@ -314,7 +324,7 @@ impl Ordered {
         let mut get_steer = |lw: &mut Self, v: Var, cenv: &Env| -> NodeId {
             *steers.entry(v).or_insert_with(|| {
                 let src = *cenv.get(&v).expect("validated scope");
-                lw.emit(NodeKind::Steer, &[cond, src], 2, format!("{}::steer.{v}", l.label))
+                lw.emit(NodeKind::Steer, &[cond, src], 2, format_args!("{}::steer.{v}", l.label))
             })
         };
 
@@ -383,16 +393,16 @@ mod tests {
         let [total] = f.end_loop([i2, acc2, nn], [acc]);
         let p = pb.finish(f, [total]);
         let dfg = lower_ordered(&p).unwrap();
-        let cmerges = dfg.nodes.iter().filter(|n| matches!(n.kind, NK::CMerge { .. })).count();
+        let cmerges = dfg.nodes().filter(|n| matches!(n.kind(), NK::CMerge { .. })).count();
         assert_eq!(cmerges, 3); // one per carried var
                                 // No tag machinery at all.
-        assert!(dfg.nodes.iter().all(|n| !matches!(
-            n.kind,
+        assert!(dfg.nodes().all(|n| !matches!(
+            n.kind(),
             NK::Allocate { .. } | NK::NewTag | NK::Free { .. } | NK::ChangeTag | NK::ChangeTagDyn
         )));
         // CMerge control FIFOs are primed with exactly one token.
-        for n in &dfg.nodes {
-            if let NK::CMerge { initial_ctl } = &n.kind {
+        for n in dfg.nodes() {
+            if let NK::CMerge { initial_ctl } = n.kind() {
                 assert_eq!(initial_ctl.len(), 1);
             }
         }
@@ -413,7 +423,7 @@ mod tests {
         let dfg = lower_ordered(&p).unwrap();
         // Inlining leaves a plain mul + mov; exactly one block.
         assert_eq!(dfg.blocks.len(), 1);
-        assert!(dfg.nodes.iter().any(|n| matches!(n.kind, NK::Alu(tyr_ir::AluOp::Mul))));
+        assert!(dfg.nodes().any(|n| matches!(n.kind(), NK::Alu(tyr_ir::AluOp::Mul))));
     }
 
     #[test]
@@ -429,8 +439,8 @@ mod tests {
         let p = pb.finish(f, [last]);
         let dfg = lower_ordered(&p).unwrap();
         let mut producer_count: HashMap<(u32, u16), usize> = HashMap::new();
-        for n in &dfg.nodes {
-            for targets in &n.outs {
+        for n in dfg.nodes() {
+            for targets in n.outs().iter() {
                 for t in targets {
                     *producer_count.entry((t.node.0, t.port)).or_default() += 1;
                 }

@@ -18,6 +18,7 @@
 //! * the block's completion `join` feeding `free`.
 
 use std::collections::HashMap;
+use std::{fmt, iter};
 
 use tyr_ir::validate::validate;
 use tyr_ir::{AluOp, FuncId, LoopStmt, Operand, Program, Region, Stmt, Value, Var};
@@ -184,15 +185,12 @@ impl<'p> Lowering<'p> {
         block: BlockId,
         inputs: &[Src],
         n_outs: usize,
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> NodeId {
-        let ins: Vec<InKind> = inputs
-            .iter()
-            .map(|s| match s {
-                Src::Imm(v) => InKind::Imm(*v),
-                _ => InKind::Wire,
-            })
-            .collect();
+        let ins = inputs.iter().map(|s| match s {
+            Src::Imm(v) => InKind::Imm(*v),
+            _ => InKind::Wire,
+        });
         let id = self.g.add_node(kind, block, ins, n_outs, label);
         for (i, s) in inputs.iter().enumerate() {
             self.attach(s, PortRef { node: id, port: i as u16 });
@@ -253,8 +251,7 @@ impl<'p> Lowering<'p> {
         let (ctx, params_p, ptag_p, retaddrs_p);
         let n_rets = func.returns.len().max(1);
         if is_root {
-            let src =
-                self.g.add_node(NodeKind::Source, block, vec![], func.params.len() + 1, "source");
+            let src = self.g.add_node(NodeKind::Source, block, [], func.params.len() + 1, "source");
             self.source = Some(src);
             for (k, &p) in func.params.iter().enumerate() {
                 env.insert(p, ports(src, k as u16));
@@ -286,8 +283,13 @@ impl<'p> Lowering<'p> {
                 .collect();
             let has_bar = self.barriers && !ctl.is_empty();
             let n_sink = ret_srcs.len() + usize::from(has_bar);
-            let sink =
-                self.g.add_node(NodeKind::Sink, block, vec![InKind::Wire; n_sink], 0, "sink");
+            let sink = self.g.add_node(
+                NodeKind::Sink,
+                block,
+                iter::repeat_n(InKind::Wire, n_sink),
+                0,
+                "sink",
+            );
             self.sink = Some(sink);
             for (j, s) in ret_srcs.iter().enumerate() {
                 self.attach(s, PortRef { node: sink, port: j as u16 });
@@ -321,20 +323,20 @@ impl<'p> Lowering<'p> {
                     block,
                     &[Src::Pending(ptag_p), Src::Pending(retaddrs_p[j]), s],
                     dyn_outs,
-                    format!("{}::ret{j}", func.name),
+                    format_args!("{}::ret{j}", func.name),
                 );
                 if self.barriers {
                     ctl.push((ct, 1));
                 }
             }
             if self.barriers {
-                let bar = self.join_over(&ctl, block, format!("{}::barrier", func.name));
+                let bar = self.join_over(&ctl, block, format_args!("{}::barrier", func.name));
                 self.emit(
                     NodeKind::Free { space: block },
                     block,
                     &[ports(bar, 0)],
                     0,
-                    format!("{}::free", func.name),
+                    format_args!("{}::free", func.name),
                 );
             }
         }
@@ -355,7 +357,7 @@ impl<'p> Lowering<'p> {
         &mut self,
         ctl: &[(NodeId, u16)],
         block: BlockId,
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> NodeId {
         assert!(!ctl.is_empty(), "barrier join needs at least one input");
         let srcs: Vec<Src> = ctl.iter().map(|&(n, p)| ports(n, p)).collect();
@@ -396,7 +398,7 @@ impl<'p> Lowering<'p> {
                         ctx.block,
                         &[a, b],
                         1,
-                        format!("{dst}={}", op.mnemonic()),
+                        format_args!("{dst}={}", op.mnemonic()),
                     );
                     env.insert(*dst, ports(n, 0));
                 }
@@ -405,7 +407,8 @@ impl<'p> Lowering<'p> {
                 let a = self.resolve(env, *addr);
                 let inputs: Vec<Src> =
                     if matches!(a, Src::Imm(_)) { vec![a, ctx.trigger.clone()] } else { vec![a] };
-                let n = self.emit(NodeKind::Load, ctx.block, &inputs, 1, format!("{dst}=load"));
+                let n =
+                    self.emit(NodeKind::Load, ctx.block, &inputs, 1, format_args!("{dst}=load"));
                 env.insert(*dst, ports(n, 0));
             }
             Stmt::Store { addr, value } | Stmt::StoreAdd { addr, value } => {
@@ -438,7 +441,7 @@ impl<'p> Lowering<'p> {
                         ctx.block,
                         &[c, t, f],
                         1,
-                        format!("{dst}=select"),
+                        format_args!("{dst}=select"),
                     );
                     env.insert(*dst, ports(n, 0));
                 }
@@ -495,7 +498,7 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &[c.clone(), src],
                 lw.steer_outs(),
-                format!("steer.{v}"),
+                format_args!("steer.{v}"),
             );
             steers.insert(v, s);
             s
@@ -546,7 +549,7 @@ impl<'p> Lowering<'p> {
             let ts = self.materialize(ts, &then_ctx, "merge.const");
             let es = self.resolve(&else_env, e);
             let es = self.materialize(es, &else_ctx, "merge.const");
-            let m = self.emit(NodeKind::Merge, ctx.block, &[ts, es], 1, format!("{d}=merge"));
+            let m = self.emit(NodeKind::Merge, ctx.block, &[ts, es], 1, format_args!("{d}=merge"));
             env.insert(d, ports(m, 0));
         }
 
@@ -586,14 +589,14 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &ready_srcs,
                 1,
-                format!("{}::entry.ready", l.label),
+                format_args!("{}::entry.ready", l.label),
             );
             let al = self.emit(
                 NodeKind::Allocate { space: child, kind: AllocKind::External },
                 ctx.block,
                 &[request, ports(rj, 0)],
                 2,
-                format!("{}::alloc.entry", l.label),
+                format_args!("{}::alloc.entry", l.label),
             );
             ctl.push((al, 1));
             al
@@ -603,7 +606,7 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &[request],
                 1,
-                format!("{}::newtag.entry", l.label),
+                format_args!("{}::newtag.entry", l.label),
             )
         };
         let newtag = ports(al, 0);
@@ -612,7 +615,7 @@ impl<'p> Lowering<'p> {
             ctx.block,
             std::slice::from_ref(&newtag),
             1,
-            format!("{}::xt", l.label),
+            format_args!("{}::xt", l.label),
         );
 
         let mut entry_ct = Vec::with_capacity(inits.len());
@@ -622,7 +625,7 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &[newtag.clone(), init.clone()],
                 ct_outs,
-                format!("{}::ct.{v}", l.label),
+                format_args!("{}::ct.{v}", l.label),
             );
             if self.barriers {
                 ctl.push((n, 1));
@@ -634,7 +637,7 @@ impl<'p> Lowering<'p> {
             ctx.block,
             &[newtag.clone(), ports(xt, 0)],
             ct_outs,
-            format!("{}::ct.ptag", l.label),
+            format_args!("{}::ct.ptag", l.label),
         );
         if self.barriers {
             ctl.push((ct_ptag, 1));
@@ -645,17 +648,17 @@ impl<'p> Lowering<'p> {
             self.g.add_node(
                 NodeKind::Allocate { space: child, kind: AllocKind::Tail },
                 child,
-                vec![InKind::Wire, InKind::Wire],
+                [InKind::Wire; 2],
                 2,
-                format!("{}::alloc.tail", l.label),
+                format_args!("{}::alloc.tail", l.label),
             )
         } else {
             self.g.add_node(
                 NodeKind::NewTag,
                 child,
-                vec![InKind::Wire],
+                [InKind::Wire],
                 1,
-                format!("{}::newtag.tail", l.label),
+                format_args!("{}::newtag.tail", l.label),
             )
         };
         let backtag = ports(al_tail, 0);
@@ -664,9 +667,9 @@ impl<'p> Lowering<'p> {
             let n = self.g.add_node(
                 NodeKind::ChangeTag,
                 child,
-                vec![InKind::Wire, InKind::Wire],
+                [InKind::Wire; 2],
                 ct_outs,
-                format!("{}::ct.back.{v}", l.label),
+                format_args!("{}::ct.back.{v}", l.label),
             );
             self.attach(&backtag, PortRef { node: n, port: 0 });
             back_ct.push(n);
@@ -674,9 +677,9 @@ impl<'p> Lowering<'p> {
         let back_ct_ptag = self.g.add_node(
             NodeKind::ChangeTag,
             child,
-            vec![InKind::Wire, InKind::Wire],
+            [InKind::Wire; 2],
             ct_outs,
-            format!("{}::ct.back.ptag", l.label),
+            format_args!("{}::ct.back.ptag", l.label),
         );
         self.attach(&backtag, PortRef { node: back_ct_ptag, port: 0 });
 
@@ -706,7 +709,7 @@ impl<'p> Lowering<'p> {
             child,
             &[cond.clone(), ptag_src.clone()],
             steer_outs,
-            format!("{}::steer.ptag", l.label),
+            format_args!("{}::steer.ptag", l.label),
         );
         if self.barriers {
             child_ctl.push((steer_ptag, 2));
@@ -723,7 +726,7 @@ impl<'p> Lowering<'p> {
                     child,
                     &[cond.clone(), src],
                     steer_outs,
-                    format!("{}::steer.{v}", l.label),
+                    format_args!("{}::steer.{v}", l.label),
                 );
                 if lw.barriers {
                     child_ctl.push((s, 2));
@@ -772,8 +775,13 @@ impl<'p> Lowering<'p> {
         if self.barriers {
             let mut ready = wired_next.clone();
             ready.push(ptag_true.clone());
-            let rj =
-                self.emit(NodeKind::Join, child, &ready, 1, format!("{}::backedge.ready", l.label));
+            let rj = self.emit(
+                NodeKind::Join,
+                child,
+                &ready,
+                1,
+                format_args!("{}::backedge.ready", l.label),
+            );
             self.g.connect(rj, 0, PortRef { node: al_tail, port: 1 });
             true_ctl.push((al_tail, 1));
             for &n in back_ct.iter().chain([&back_ct_ptag]) {
@@ -796,7 +804,7 @@ impl<'p> Lowering<'p> {
                 child,
                 &[ptag_false.clone(), src],
                 ct_outs,
-                format!("{}::ct.exit{j}", l.label),
+                format_args!("{}::ct.exit{j}", l.label),
             );
             if lw.barriers {
                 false_ctl.push((ct, 1));
@@ -828,23 +836,23 @@ impl<'p> Lowering<'p> {
 
         // --- Per-iteration completion and the block barrier ---
         if self.barriers {
-            let tj = self.join_over(&true_ctl, child, format!("{}::iter.taken", l.label));
-            let fj = self.join_over(&false_ctl, child, format!("{}::iter.exit", l.label));
+            let tj = self.join_over(&true_ctl, child, format_args!("{}::iter.taken", l.label));
+            let fj = self.join_over(&false_ctl, child, format_args!("{}::iter.exit", l.label));
             let done = self.emit(
                 NodeKind::Merge,
                 child,
                 &[ports(tj, 0), ports(fj, 0)],
                 1,
-                format!("{}::iter.done", l.label),
+                format_args!("{}::iter.done", l.label),
             );
             child_ctl.push((done, 0));
-            let bar = self.join_over(&child_ctl, child, format!("{}::barrier", l.label));
+            let bar = self.join_over(&child_ctl, child, format_args!("{}::barrier", l.label));
             self.emit(
                 NodeKind::Free { space: child },
                 child,
                 &[ports(bar, 0)],
                 0,
-                format!("{}::free", l.label),
+                format_args!("{}::free", l.label),
             );
         }
         Ok(())
@@ -873,19 +881,30 @@ impl<'p> Lowering<'p> {
         let al = if self.barriers {
             let ready_srcs: Vec<Src> =
                 if wired.is_empty() { vec![ctx.trigger.clone()] } else { wired.clone() };
-            let rj =
-                self.emit(NodeKind::Join, ctx.block, &ready_srcs, 1, format!("call.{name}.ready"));
+            let rj = self.emit(
+                NodeKind::Join,
+                ctx.block,
+                &ready_srcs,
+                1,
+                format_args!("call.{name}.ready"),
+            );
             let al = self.emit(
                 NodeKind::Allocate { space: lf.block, kind: AllocKind::Call },
                 ctx.block,
                 &[request, ports(rj, 0)],
                 2,
-                format!("call.{name}.alloc"),
+                format_args!("call.{name}.alloc"),
             );
             ctl.push((al, 1));
             al
         } else {
-            self.emit(NodeKind::NewTag, ctx.block, &[request], 1, format!("call.{name}.newtag"))
+            self.emit(
+                NodeKind::NewTag,
+                ctx.block,
+                &[request],
+                1,
+                format_args!("call.{name}.newtag"),
+            )
         };
         let newtag = ports(al, 0);
         let xt = self.emit(
@@ -893,7 +912,7 @@ impl<'p> Lowering<'p> {
             ctx.block,
             std::slice::from_ref(&newtag),
             1,
-            format!("call.{name}.xt"),
+            format_args!("call.{name}.xt"),
         );
 
         // Arguments.
@@ -903,7 +922,7 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &[newtag.clone(), a.clone()],
                 ct_outs,
-                format!("call.{name}.arg{k}"),
+                format_args!("call.{name}.arg{k}"),
             );
             if self.barriers {
                 ctl.push((ct, 1));
@@ -916,7 +935,7 @@ impl<'p> Lowering<'p> {
             ctx.block,
             &[newtag.clone(), ports(xt, 0)],
             ct_outs,
-            format!("call.{name}.ptag"),
+            format_args!("call.{name}.ptag"),
         );
         if self.barriers {
             ctl.push((ct_ptag, 1));
@@ -928,9 +947,9 @@ impl<'p> Lowering<'p> {
             let land = self.g.add_node(
                 NodeKind::Alu(AluOp::Mov),
                 ctx.block,
-                vec![InKind::Wire],
+                [InKind::Wire],
                 1,
-                format!("call.{name}.ret{j}"),
+                format_args!("call.{name}.ret{j}"),
             );
             let target = PortRef { node: land, port: 0 };
             let ct = self.emit(
@@ -938,7 +957,7 @@ impl<'p> Lowering<'p> {
                 ctx.block,
                 &[newtag.clone(), Src::Imm(target.encode())],
                 ct_outs,
-                format!("call.{name}.retaddr{j}"),
+                format_args!("call.{name}.retaddr{j}"),
             );
             if self.barriers {
                 ctl.push((ct, 1));
@@ -976,7 +995,7 @@ mod tests {
     }
 
     fn kind_count(dfg: &Dfg, pred: impl Fn(&NK) -> bool) -> usize {
-        dfg.nodes.iter().filter(|n| pred(&n.kind)).count()
+        dfg.nodes().filter(|n| pred(n.kind())).count()
     }
 
     #[test]
@@ -1080,11 +1099,11 @@ mod tests {
         let p = count_loop_program();
         for d in [TaggingDiscipline::Tyr, TaggingDiscipline::UnorderedUnbounded] {
             let dfg = lower_tagged(&p, d).unwrap();
-            for n in &dfg.nodes {
-                for targets in &n.outs {
+            for n in dfg.nodes() {
+                for targets in n.outs().iter() {
                     for t in targets {
                         let dst = dfg.node(t.node);
-                        assert!(matches!(dst.ins[t.port as usize], InKind::Wire));
+                        assert!(matches!(dst.ins()[t.port as usize], InKind::Wire));
                     }
                 }
             }

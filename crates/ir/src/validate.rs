@@ -149,29 +149,45 @@ impl std::error::Error for ValidateError {}
 
 /// Validates a whole program.
 ///
+/// Runs in time linear in the program: one scope stack per function holds
+/// the variables in scope, `pos` maps each variable to its stack slot, and
+/// a loop raises a floor below which its body sees nothing. Errors are
+/// reported in the same traversal order as a scope-copying checker would,
+/// so the *first* violation found is the one returned.
+///
 /// # Errors
 ///
 /// Returns the first [`ValidateError`] found.
 pub fn validate(program: &Program) -> Result<(), ValidateError> {
     check_call_graph(program)?;
-    let mut labels = HashSet::new();
+    let mut v = Validator {
+        program,
+        func_name: "",
+        defined: Vec::new(),
+        pos: Vec::new(),
+        stack: Vec::new(),
+        floor: 0,
+        labels: HashSet::new(),
+    };
     for func in &program.funcs {
-        let mut v = Validator {
-            program,
-            func_name: &func.name,
-            n_vars: func.n_vars,
-            defined: HashSet::new(),
-            labels: &mut labels,
-        };
+        v.func_name = &func.name;
+        let n = func.n_vars as usize;
+        v.defined.clear();
+        v.defined.resize(n, false);
+        v.pos.clear();
+        v.pos.resize(n, 0);
+        v.stack.clear();
+        v.floor = 0;
         for &p in &func.params {
             v.define(p)?;
         }
-        let scope: Vec<Var> = func.params.clone();
-        v.check_region(&func.body, &scope, false)?;
-        let mut end_scope = scope;
-        collect_scope(&func.body, &mut end_scope);
+        for &p in &func.params {
+            v.push(p);
+        }
+        // The body's top-level defs stay on the stack: the returns see them.
+        v.check_region(&func.body, false)?;
         for &r in &func.returns {
-            v.check_use(r, &end_scope)?;
+            v.check_use(r)?;
         }
     }
     Ok(())
@@ -185,23 +201,39 @@ fn check_call_graph(program: &Program) -> Result<(), ValidateError> {
         Gray,
         Black,
     }
-    fn callees(r: &Region, out: &mut Vec<FuncId>) {
+    /// Visits the calls of `r` in program order, descending into each
+    /// callee before looking at the next call.
+    fn calls(
+        program: &Program,
+        caller: FuncId,
+        r: &Region,
+        marks: &mut [Mark],
+    ) -> Result<(), ValidateError> {
         for s in &r.stmts {
             match s {
-                Stmt::Call { func, .. } => out.push(*func),
+                Stmt::Call { func, .. } => {
+                    if (func.0 as usize) >= program.funcs.len() {
+                        return Err(ValidateError::UnknownFunc {
+                            caller: program.func(caller).name.clone(),
+                            func: *func,
+                        });
+                    }
+                    dfs(program, *func, marks)?;
+                }
                 Stmt::Loop(l) => {
-                    callees(&l.pre, out);
-                    callees(&l.body, out);
+                    calls(program, caller, &l.pre, marks)?;
+                    calls(program, caller, &l.body, marks)?;
                 }
                 Stmt::If(i) => {
-                    callees(&i.then_region, out);
-                    callees(&i.else_region, out);
+                    calls(program, caller, &i.then_region, marks)?;
+                    calls(program, caller, &i.else_region, marks)?;
                 }
                 _ => {}
             }
         }
+        Ok(())
     }
-    fn dfs(program: &Program, f: FuncId, marks: &mut Vec<Mark>) -> Result<(), ValidateError> {
+    fn dfs(program: &Program, f: FuncId, marks: &mut [Mark]) -> Result<(), ValidateError> {
         match marks[f.0 as usize] {
             Mark::Black => return Ok(()),
             Mark::Gray => {
@@ -210,17 +242,7 @@ fn check_call_graph(program: &Program) -> Result<(), ValidateError> {
             Mark::White => {}
         }
         marks[f.0 as usize] = Mark::Gray;
-        let mut out = Vec::new();
-        callees(&program.func(f).body, &mut out);
-        for c in out {
-            if (c.0 as usize) >= program.funcs.len() {
-                return Err(ValidateError::UnknownFunc {
-                    caller: program.func(f).name.clone(),
-                    func: c,
-                });
-            }
-            dfs(program, c, marks)?;
-        }
+        calls(program, f, &program.func(f).body, marks)?;
         marks[f.0 as usize] = Mark::Black;
         Ok(())
     }
@@ -231,81 +253,97 @@ fn check_call_graph(program: &Program) -> Result<(), ValidateError> {
     Ok(())
 }
 
-/// Adds every def in `region` (non-recursively w.r.t. inner scopes: only the
-/// defs visible to the *enclosing* scope) to `scope`.
-fn collect_scope(region: &Region, scope: &mut Vec<Var>) {
-    for s in &region.stmts {
-        scope.extend(s.defs());
-    }
-}
-
+/// Per-function scope state, reused across the program's functions.
 struct Validator<'a> {
     program: &'a Program,
     func_name: &'a str,
-    n_vars: u32,
-    defined: HashSet<Var>,
-    labels: &'a mut HashSet<String>,
+    /// Whether each variable has been defined anywhere in the function.
+    defined: Vec<bool>,
+    /// `pos[v]` = 1 + `v`'s index in `stack`, or 0 when `v` is out of scope.
+    pos: Vec<u32>,
+    /// The variables in scope, outermost first.
+    stack: Vec<Var>,
+    /// Stack entries below this index belong to an enclosing concurrent
+    /// block, which a loop body may not reference.
+    floor: usize,
+    /// Loop labels seen so far, program-wide.
+    labels: HashSet<&'a str>,
 }
 
 impl<'a> Validator<'a> {
     fn define(&mut self, v: Var) -> Result<(), ValidateError> {
-        if v.0 >= self.n_vars {
+        let Some(seen) = self.defined.get_mut(v.0 as usize) else {
             return Err(ValidateError::VarOutOfRange { func: self.func_name.into(), var: v });
-        }
-        if !self.defined.insert(v) {
+        };
+        if std::mem::replace(seen, true) {
             return Err(ValidateError::Redefinition { func: self.func_name.into(), var: v });
         }
         Ok(())
     }
 
-    fn check_use(&self, o: Operand, scope: &[Var]) -> Result<(), ValidateError> {
-        if let Operand::Var(v) = o {
-            if !scope.contains(&v) {
-                return Err(ValidateError::UseBeforeDef { func: self.func_name.into(), var: v });
-            }
+    /// Brings a defined (hence in-range) variable into scope.
+    fn push(&mut self, v: Var) {
+        self.stack.push(v);
+        self.pos[v.0 as usize] = self.stack.len() as u32;
+    }
+
+    /// Drops every scope entry from `len` up.
+    fn truncate(&mut self, len: usize) {
+        for v in self.stack.drain(len..) {
+            self.pos[v.0 as usize] = 0;
         }
+    }
+
+    fn visible(&self, v: Var) -> bool {
+        self.pos.get(v.0 as usize).is_some_and(|&p| p as usize > self.floor)
+    }
+
+    fn check_use(&self, o: Operand) -> Result<(), ValidateError> {
+        match o {
+            Operand::Var(v) if !self.visible(v) => {
+                Err(ValidateError::UseBeforeDef { func: self.func_name.into(), var: v })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn check_def(&mut self, v: Var) -> Result<(), ValidateError> {
+        self.define(v)?;
+        self.push(v);
         Ok(())
     }
 
-    /// Validates a region given the variables visible on entry. `in_if`
-    /// rejects loops/calls.
-    fn check_region(
-        &mut self,
-        region: &Region,
-        entry_scope: &[Var],
-        in_if: bool,
-    ) -> Result<(), ValidateError> {
-        let mut scope: Vec<Var> = entry_scope.to_vec();
+    /// Validates a region against the current scope, leaving its top-level
+    /// defs in scope for the caller to keep or truncate. `in_if` rejects
+    /// loops/calls.
+    fn check_region(&mut self, region: &'a Region, in_if: bool) -> Result<(), ValidateError> {
         for stmt in &region.stmts {
             match stmt {
                 Stmt::Op { dst, lhs, rhs, .. } => {
-                    self.check_use(*lhs, &scope)?;
-                    self.check_use(*rhs, &scope)?;
-                    self.define(*dst)?;
-                    scope.push(*dst);
+                    self.check_use(*lhs)?;
+                    self.check_use(*rhs)?;
+                    self.check_def(*dst)?;
                 }
                 Stmt::Load { dst, addr } => {
-                    self.check_use(*addr, &scope)?;
-                    self.define(*dst)?;
-                    scope.push(*dst);
+                    self.check_use(*addr)?;
+                    self.check_def(*dst)?;
                 }
                 Stmt::Store { addr, value } | Stmt::StoreAdd { addr, value } => {
-                    self.check_use(*addr, &scope)?;
-                    self.check_use(*value, &scope)?;
+                    self.check_use(*addr)?;
+                    self.check_use(*value)?;
                 }
                 Stmt::Select { dst, cond, on_true, on_false } => {
-                    self.check_use(*cond, &scope)?;
-                    self.check_use(*on_true, &scope)?;
-                    self.check_use(*on_false, &scope)?;
-                    self.define(*dst)?;
-                    scope.push(*dst);
+                    self.check_use(*cond)?;
+                    self.check_use(*on_true)?;
+                    self.check_use(*on_false)?;
+                    self.check_def(*dst)?;
                 }
-                Stmt::If(i) => self.check_if(i, &mut scope)?,
+                Stmt::If(i) => self.check_if(i)?,
                 Stmt::Loop(l) => {
                     if in_if {
                         return Err(ValidateError::IfContainsBlock { func: self.func_name.into() });
                     }
-                    self.check_loop(l, &mut scope)?;
+                    self.check_loop(l)?;
                 }
                 Stmt::Call { func, args, rets } => {
                     if in_if {
@@ -336,11 +374,10 @@ impl<'a> Validator<'a> {
                         });
                     }
                     for &a in args {
-                        self.check_use(a, &scope)?;
+                        self.check_use(a)?;
                     }
                     for &r in rets {
-                        self.define(r)?;
-                        scope.push(r);
+                        self.check_def(r)?;
                     }
                 }
             }
@@ -348,25 +385,39 @@ impl<'a> Validator<'a> {
         Ok(())
     }
 
-    fn check_if(&mut self, i: &IfStmt, scope: &mut Vec<Var>) -> Result<(), ValidateError> {
-        self.check_use(i.cond, scope)?;
-        self.check_region(&i.then_region, scope, true)?;
-        self.check_region(&i.else_region, scope, true)?;
-        let mut then_scope = scope.clone();
-        collect_scope(&i.then_region, &mut then_scope);
-        let mut else_scope = scope.clone();
-        collect_scope(&i.else_region, &mut else_scope);
-        for &(d, t, e) in &i.merges {
-            self.check_use(t, &then_scope)?;
-            self.check_use(e, &else_scope)?;
+    /// Each arm sees the enclosing scope plus its own defs. A merge's `t`
+    /// sees the enclosing scope plus the then-arm's top-level defs, and its
+    /// `e` the same with the else-arm's; neither sees the merges' own
+    /// destinations.
+    fn check_if(&mut self, i: &'a IfStmt) -> Result<(), ValidateError> {
+        self.check_use(i.cond)?;
+        let base = self.stack.len();
+        self.check_region(&i.then_region, true)?;
+        // The then-view is gone once the else arm runs, so find the first
+        // merge whose `t` it cannot see now; `t` errors rank before that
+        // merge's `e` and destination.
+        let bad_t = i.merges.iter().enumerate().find_map(|(k, &(_, t, _))| match t {
+            Operand::Var(v) if !self.visible(v) => Some((k, v)),
+            _ => None,
+        });
+        self.truncate(base);
+        self.check_region(&i.else_region, true)?;
+        for (k, &(d, _, e)) in i.merges.iter().enumerate() {
+            if let Some((_, var)) = bad_t.filter(|&(bad, _)| bad == k) {
+                return Err(ValidateError::UseBeforeDef { func: self.func_name.into(), var });
+            }
+            self.check_use(e)?;
             self.define(d)?;
-            scope.push(d);
+        }
+        self.truncate(base);
+        for &(d, _, _) in &i.merges {
+            self.push(d);
         }
         Ok(())
     }
 
-    fn check_loop(&mut self, l: &LoopStmt, scope: &mut Vec<Var>) -> Result<(), ValidateError> {
-        if !self.labels.insert(l.label.clone()) {
+    fn check_loop(&mut self, l: &'a LoopStmt) -> Result<(), ValidateError> {
+        if !self.labels.insert(l.label.as_str()) {
             return Err(ValidateError::DuplicateLoopLabel { label: l.label.clone() });
         }
         if l.next.len() != l.carried.len() {
@@ -378,31 +429,38 @@ impl<'a> Validator<'a> {
                 return Err(ValidateError::ImpurePre { label: l.label.clone() });
             }
         }
+        // The inits are read in the parent scope, which sees none of the
+        // carried variables.
+        for &(v, init) in &l.carried {
+            self.check_use(init)?;
+            self.define(v)?;
+        }
         // Loop scope starts from the carried vars ONLY — the loop body must
         // not reference parent locals directly (they belong to a different
         // concurrent block / tag space). Anything needed inside must be
         // carried in. Constants are fine (immediates).
-        let mut loop_scope: Vec<Var> = Vec::new();
-        for &(v, init) in &l.carried {
-            self.check_use(init, scope)?;
-            self.define(v)?;
-            loop_scope.push(v);
+        let (base, parent_floor) = (self.stack.len(), self.floor);
+        self.floor = base;
+        for &(v, _) in &l.carried {
+            self.push(v);
         }
-        self.check_region(&l.pre, &loop_scope, false)?;
-        let mut pre_scope = loop_scope.clone();
-        collect_scope(&l.pre, &mut pre_scope);
-        self.check_use(l.cond, &pre_scope)?;
-        self.check_region(&l.body, &pre_scope, false)?;
-        let mut body_scope = pre_scope.clone();
-        collect_scope(&l.body, &mut body_scope);
+        self.check_region(&l.pre, false)?;
+        self.check_use(l.cond)?;
+        let pre_top = self.stack.len();
+        self.check_region(&l.body, false)?;
         for &n in &l.next {
-            self.check_use(n, &body_scope)?;
+            self.check_use(n)?;
         }
+        self.truncate(pre_top);
         for &(d, src) in &l.exits {
             // Exits leave from the failing test: only carried/pre values exist.
-            self.check_use(src, &pre_scope)?;
+            self.check_use(src)?;
             self.define(d)?;
-            scope.push(d);
+        }
+        self.truncate(base);
+        self.floor = parent_floor;
+        for &(d, _) in &l.exits {
+            self.push(d);
         }
         Ok(())
     }

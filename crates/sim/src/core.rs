@@ -53,8 +53,8 @@ pub(crate) fn declare_graph<P: Probe>(probe: &mut P, dfg: &Dfg) {
         for (i, b) in dfg.blocks.iter().enumerate() {
             probe.declare_block(i as u32, &b.name);
         }
-        for (i, n) in dfg.nodes.iter().enumerate() {
-            probe.declare_node(i as u32, &n.label, n.block.0);
+        for (i, n) in dfg.nodes().enumerate() {
+            probe.declare_node(i as u32, n.label(), n.block().0);
         }
     }
 }

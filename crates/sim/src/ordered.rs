@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{Dfg, Edge, InKind, NodeKind};
+use tyr_dfg::{Dfg, Edge, InKind, Node, NodeId, NodeKind};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
 
@@ -140,9 +140,9 @@ impl Producers {
     fn new(dfg: &Dfg) -> Self {
         let mut base = Vec::with_capacity(dfg.len());
         let mut rows = 0u32;
-        for n in &dfg.nodes {
+        for n in dfg.nodes() {
             base.push(rows);
-            rows += n.ins.len() as u32;
+            rows += n.ins().len() as u32;
         }
         let row = |e: &Edge| (base[e.to.0 as usize] + u32::from(e.to_port)) as usize;
         // Count into `off[row + 2]` so the prefix sum leaves row `r`'s start
@@ -292,21 +292,21 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// cycle forever).
     pub fn with_probe(dfg: &'a Dfg, mem: MemoryImage, cfg: OrderedConfig, mut probe: P) -> Self {
         declare_graph(&mut probe, dfg);
-        for n in &dfg.nodes {
+        for n in dfg.nodes() {
             assert!(
-                matches!(n.kind, NodeKind::Source)
-                    || n.ins.iter().any(|i| matches!(i, InKind::Wire)),
+                matches!(n.kind(), NodeKind::Source)
+                    || n.ins().iter().any(|i| matches!(i, InKind::Wire)),
                 "node '{}' has no wired inputs",
-                n.label
+                n.label()
             );
         }
         let mut live = 0;
         let fifos: Vec<Vec<VecDeque<Value>>> = dfg
-            .nodes
-            .iter()
+            .nodes()
             .map(|n| {
-                let mut qs: Vec<VecDeque<Value>> = n.ins.iter().map(|_| VecDeque::new()).collect();
-                if let NodeKind::CMerge { initial_ctl } = &n.kind {
+                let mut qs: Vec<VecDeque<Value>> =
+                    n.ins().iter().map(|_| VecDeque::new()).collect();
+                if let NodeKind::CMerge { initial_ctl } = n.kind() {
                     for &t in initial_ctl {
                         qs[0].push_back(t);
                         live += 1;
@@ -317,15 +317,14 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             .collect();
         let capacity = cfg.capacity();
         let caps: Vec<Vec<usize>> = dfg
-            .nodes
-            .iter()
+            .nodes()
             .enumerate()
-            .map(|(ni, n)| (0..n.ins.len()).map(|p| capacity.of(ni as u32, p as u16)).collect())
+            .map(|(ni, n)| (0..n.ins().len()).map(|p| capacity.of(ni as u32, p as u16)).collect())
             .collect();
         let mut core = Core::new(MemPort::new(&cfg.mem), &cfg.watchdog, cfg.faults.as_ref(), probe);
         core.live = live;
         let loads = (0..dfg.len() as u32)
-            .filter(|&i| matches!(dfg.nodes[i as usize].kind, NodeKind::Load))
+            .filter(|&i| matches!(dfg.node(NodeId(i)).kind(), NodeKind::Load))
             .collect();
         let mut engine = OrderedEngine {
             dfg,
@@ -366,7 +365,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     self.ready.get(idx),
                     self.is_ready(idx),
                     "stale ready bit for '{}' after cycle {}",
-                    self.dfg.nodes[idx].label,
+                    self.node(idx).label(),
                     self.core.cycle
                 );
             }
@@ -385,8 +384,12 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         }
     }
 
+    fn node(&self, idx: usize) -> Node<'a> {
+        self.dfg.node(NodeId(idx as u32))
+    }
+
     fn outputs_have_space(&self, idx: usize) -> bool {
-        self.dfg.nodes[idx].outs.iter().all(|targets| {
+        self.node(idx).outs().iter().all(|targets| {
             targets.iter().all(|t| {
                 self.fifos[t.node.0 as usize][t.port as usize].len()
                     < self.caps[t.node.0 as usize][t.port as usize]
@@ -402,19 +405,19 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         const MAX_LINES: usize = 12;
         let mut out = Vec::new();
         for idx in 0..self.dfg.len() {
-            let n = &self.dfg.nodes[idx];
+            let n = self.node(idx);
             let held: usize = self.fifos[idx].iter().map(|q| q.len()).sum();
-            if held == 0 || matches!(n.kind, NodeKind::Source) {
+            if held == 0 || matches!(n.kind(), NodeKind::Source) {
                 continue;
             }
             let starved =
-                n.ins.iter().enumerate().find(|(p, kind)| {
+                n.ins().iter().enumerate().find(|(p, kind)| {
                     matches!(kind, InKind::Wire) && self.fifos[idx][*p].is_empty()
                 });
             let reason = if let Some((p, _)) = starved {
                 format!("starved on i{p}")
             } else if let Some(t) = n
-                .outs
+                .outs()
                 .iter()
                 .flatten()
                 .find(|t| !self.outputs_have_space_at(t.node.0 as usize, t.port as usize))
@@ -422,7 +425,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 let (tn, tp) = (t.node.0 as usize, t.port as usize);
                 format!(
                     "back-pressured: {}.i{} full ({}/{})",
-                    self.dfg.nodes[tn].label,
+                    self.node(tn).label(),
                     tp,
                     self.fifos[tn][tp].len(),
                     self.caps[tn][tp],
@@ -435,7 +438,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 out.push("…".to_string());
                 break;
             }
-            out.push(format!("{} holds {held} token(s), {reason}", n.label));
+            out.push(format!("{} holds {held} token(s), {reason}", n.label()));
         }
         out
     }
@@ -451,14 +454,14 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// merely *starved* node at quiescence is normal — the loops' final
     /// control tokens always end up starved.)
     fn back_pressured(&self, idx: usize) -> bool {
-        let n = &self.dfg.nodes[idx];
-        match &n.kind {
+        let n = self.node(idx);
+        match n.kind() {
             NodeKind::Source => !self.source_fired && !self.outputs_have_space(idx),
             NodeKind::Sink => false,
             NodeKind::CMerge { .. } => {
                 let Some(&ctl) = self.fifos[idx][0].front() else { return false };
                 let side = if ctl == 0 { 1 } else { 2 };
-                let side_ok = match n.ins[side] {
+                let side_ok = match n.ins()[side] {
                     InKind::Imm(_) => true,
                     InKind::Wire => !self.fifos[idx][side].is_empty(),
                 };
@@ -480,7 +483,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         self.ready.touched.sort_unstable();
         for k in 0..self.ready.touched.len() {
             let idx = self.ready.touched[k] as usize;
-            if matches!(self.dfg.nodes[idx].kind, NodeKind::Source | NodeKind::Sink) {
+            if matches!(self.node(idx).kind(), NodeKind::Source | NodeKind::Sink) {
                 continue;
             }
             let held: usize = self.fifos[idx].iter().map(|q| q.len()).sum();
@@ -512,21 +515,21 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     }
 
     fn wired_inputs_ready(&self, idx: usize) -> bool {
-        self.dfg.nodes[idx].ins.iter().enumerate().all(|(p, kind)| match kind {
+        self.node(idx).ins().iter().enumerate().all(|(p, kind)| match kind {
             InKind::Imm(_) => true,
             InKind::Wire => !self.fifos[idx][p].is_empty(),
         })
     }
 
     fn is_ready(&self, idx: usize) -> bool {
-        let n = &self.dfg.nodes[idx];
-        match &n.kind {
+        let n = self.node(idx);
+        match n.kind() {
             NodeKind::Source => !self.source_fired && self.outputs_have_space(idx),
             NodeKind::Sink => self.returns.is_none() && self.wired_inputs_ready(idx),
             NodeKind::CMerge { .. } => {
                 let Some(&ctl) = self.fifos[idx][0].front() else { return false };
                 let side = if ctl == 0 { 1 } else { 2 };
-                let side_ok = match n.ins[side] {
+                let side_ok = match n.ins()[side] {
                     InKind::Imm(_) => true,
                     InKind::Wire => !self.fifos[idx][side].is_empty(),
                 };
@@ -537,7 +540,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     }
 
     fn pop(&mut self, idx: usize, port: usize) -> Value {
-        match self.dfg.nodes[idx].ins[port] {
+        match self.node(idx).ins()[port] {
             InKind::Imm(v) => v,
             InKind::Wire => {
                 self.core.live -= 1;
@@ -561,11 +564,11 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         // iterated in place — the per-fire `outs[port].clone()` this
         // replaces was a hot-path allocation.
         let dfg = self.dfg;
-        for &t in &dfg.nodes[idx].outs[port] {
+        for &t in self.node(idx).targets(port) {
             let mut val = val;
             let mut dup = None;
             if let Some(fs) = self.core.faults.as_mut() {
-                let (tn, label, port) = (t.node.0, &dfg.nodes[t.node.0 as usize].label, t.port);
+                let (tn, label, port) = (t.node.0, dfg.node(t.node).label(), t.port);
                 let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
                 if fs.strike(cycle, FaultKind::TokenDrop) {
                     let detail =
@@ -607,12 +610,12 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     fn fire(&mut self, idx: usize) -> Result<(), SimError> {
         // Match the node kind by reference (`kind.clone()` here used to
         // heap-allocate for every CMerge fire, whose kind owns a Vec).
-        let dfg = self.dfg;
+        let node = self.node(idx);
         self.ready.touch(idx as u32);
-        match &dfg.nodes[idx].kind {
+        match node.kind() {
             NodeKind::Alu(op) => {
                 let a = self.pop(idx, 0);
-                let b = if self.dfg.nodes[idx].ins.len() > 1 { self.pop(idx, 1) } else { 0 };
+                let b = if node.ins().len() > 1 { self.pop(idx, 1) } else { 0 };
                 let v = op.eval(a, b)?;
                 self.push_outputs(idx, 0, v);
             }
@@ -624,14 +627,14 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             }
             NodeKind::Load => {
                 let addr = self.pop(idx, 0);
-                if self.dfg.nodes[idx].ins.len() > 1 {
+                if node.ins().len() > 1 {
                     self.pop(idx, 1); // trigger
                 }
                 let mut v = self.mem.load(addr)?;
                 let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
                 self.core.port.count(probe, cycle, idx as u32, addr, false);
                 let extra = self.core.faults.as_mut().map_or(0, |fs| {
-                    let label = &dfg.nodes[idx].label;
+                    let label = node.label();
                     fs.perturb_mem_response(probe, cycle, idx as u32, label, true, &mut v)
                 });
                 let lat = self.core.port.lookup(probe, cycle, idx as u32, addr, false);
@@ -649,10 +652,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             NodeKind::Store | NodeKind::StoreAdd => {
                 let addr = self.pop(idx, 0);
                 let v = self.pop(idx, 1);
-                if self.dfg.nodes[idx].ins.len() > 2 {
+                if node.ins().len() > 2 {
                     self.pop(idx, 2); // trigger
                 }
-                if matches!(dfg.nodes[idx].kind, NodeKind::Store) {
+                if matches!(node.kind(), NodeKind::Store) {
                     self.mem.store(addr, v)?;
                 } else {
                     self.mem.fetch_add(addr, v)?;
@@ -678,7 +681,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 self.push_outputs(idx, 0, c);
             }
             NodeKind::Source => {
-                let n_outs = self.dfg.nodes[idx].outs.len();
+                let n_outs = node.outs().len();
                 for k in 0..n_outs - 1 {
                     let v = self.cfg.args.get(k).copied().unwrap_or(0);
                     self.push_outputs(idx, k, v);
@@ -687,7 +690,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 self.source_fired = true;
             }
             NodeKind::Sink => {
-                let n_ins = self.dfg.nodes[idx].ins.len();
+                let n_ins = node.ins().len();
                 let vals: Vec<Value> = (0..n_ins).map(|p| self.pop(idx, p)).collect();
                 self.returns = Some(vals[..self.dfg.n_returns].to_vec());
             }
@@ -724,7 +727,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     let idx = w as u32 * 64 + bits.trailing_zeros();
                     bits &= bits - 1;
                     if let Some(fs) = self.core.faults.as_mut() {
-                        let label = &self.dfg.nodes[idx as usize].label;
+                        let label = self.dfg.node(NodeId(idx)).label();
                         if fs.stick(&mut self.core.probe, self.core.cycle, idx, label) {
                             continue;
                         }
@@ -751,7 +754,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                         if r > self.core.cycle + 1 {
                             break;
                         }
-                        let has_space = self.dfg.nodes[idx].outs[0].iter().all(|t| {
+                        let has_space = self.node(idx).targets(0).iter().all(|t| {
                             self.fifos[t.node.0 as usize][t.port as usize].len()
                                 < self.caps[t.node.0 as usize][t.port as usize]
                         });
@@ -1023,10 +1026,9 @@ mod stall_tests {
         let p = pb.finish(f, [out]);
         let dfg = lower_ordered(&p).unwrap();
         let cm = dfg
-            .nodes
-            .iter()
+            .nodes()
             .position(
-                |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+                |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
             )
             .expect("a primed loop-carry CMerge") as u32;
 

@@ -77,8 +77,8 @@ pub(crate) struct Plan {
 
 impl Plan {
     pub(crate) fn compile(dfg: &Dfg) -> Plan {
-        let n_ports: usize = dfg.nodes.iter().map(|n| n.outs.len()).sum();
-        let n_edges: usize = dfg.nodes.iter().flat_map(|n| &n.outs).map(Vec::len).sum();
+        let n_ports: usize = dfg.nodes().map(|n| n.outs().len()).sum();
+        let n_edges: usize = dfg.nodes().flat_map(|n| n.outs()).map(<[_]>::len).sum();
         let mut plan = Plan {
             nodes: Vec::with_capacity(dfg.len()),
             ports: Vec::with_capacity(n_ports + 1),
@@ -86,9 +86,9 @@ impl Plan {
             too_wide: None,
         };
         plan.ports.push(0);
-        for n in &dfg.nodes {
+        for n in dfg.nodes() {
             let (mut required, mut imm, mut wired) = (0u64, [0; 3], 0);
-            for (i, k) in n.ins.iter().enumerate() {
+            for (i, k) in n.ins().iter().enumerate() {
                 match *k {
                     InKind::Wire => {
                         required |= 1u64.checked_shl(i as u32).unwrap_or(0);
@@ -98,10 +98,10 @@ impl Plan {
                     InKind::Imm(_) => {}
                 }
             }
-            if wired > MAX_WIRED || n.ins.len() > PORT_BITS {
+            if wired > MAX_WIRED || n.ins().len() > PORT_BITS {
                 plan.too_wide = plan.too_wide.or(Some(wired));
             }
-            let op = match n.kind {
+            let op = match *n.kind() {
                 NodeKind::Alu(op) => Op::Alu(op),
                 NodeKind::Load => Op::Load,
                 NodeKind::Store => Op::Store,
@@ -130,10 +130,10 @@ impl Plan {
                     _ => required,
                 },
                 imm,
-                block: n.block.0,
+                block: n.block().0,
                 outs: plan.ports.len() as u32 - 1,
-                n_outs: n.outs.len() as u16,
-                n_ins: n.ins.len() as u16,
+                n_outs: n.outs().len() as u16,
+                n_ins: n.ins().len() as u16,
                 is_sync: matches!(
                     op,
                     Op::Allocate { .. }
@@ -147,11 +147,11 @@ impl Plan {
                         | Op::Const(_)
                 ),
             });
-            for targets in &n.outs {
+            for targets in n.outs() {
                 let first = plan.edges.len();
                 plan.edges.extend(targets.iter().map(|&to| Edge {
                     to,
-                    block: dfg.nodes[to.node.0 as usize].block.0,
+                    block: dfg.node(to.node).block().0,
                     run: 1,
                 }));
                 for i in (first..plan.edges.len().saturating_sub(1)).rev() {

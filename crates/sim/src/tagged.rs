@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{AllocKind, BlockId, Dfg, InKind, Node, NodeKind, PortRef};
+use tyr_dfg::{AllocKind, BlockId, Dfg, InKind, Node, NodeId, NodeKind, PortRef};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
 
@@ -273,7 +273,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         // Bounded policies get dense stores, `None` is the unbounded policy.
         let (backend, dense): (Backend, Option<Vec<DenseRows>>) = match &cfg.tag_policy {
             TagPolicy::Local { default_tags, overrides } => {
-                let root = dfg.node(dfg.source).block;
+                let root = dfg.node(dfg.source).block();
                 let sizes: Vec<usize> = dfg
                     .blocks
                     .iter()
@@ -289,15 +289,15 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
                     })
                     .collect();
                 let pending = vec![VecDeque::new(); sizes.len()];
-                let rows = |n: &Node| DenseRows::new(n.ins.len(), sizes[n.block.0 as usize]);
-                let store = dfg.nodes.iter().map(rows).collect();
+                let rows = |n: Node| DenseRows::new(n.ins().len(), sizes[n.block().0 as usize]);
+                let store = dfg.nodes().map(rows).collect();
                 (Backend::Local { free, pending }, Some(store))
             }
             TagPolicy::GlobalBounded { tags } => {
                 let t = (*tags).max(1);
                 // Tags 1..=t are the pool; the root context owns tag 0.
                 let free: Vec<u64> = (1..=t as u64).rev().collect();
-                let store = dfg.nodes.iter().map(|n| DenseRows::new(n.ins.len(), t + 1)).collect();
+                let store = dfg.nodes().map(|n| DenseRows::new(n.ins().len(), t + 1)).collect();
                 (Backend::Global { free, pending: VecDeque::new() }, Some(store))
             }
             TagPolicy::GlobalUnbounded => (Backend::Unbounded { next: 1 }, None),
@@ -305,7 +305,7 @@ impl<'a, P: Probe> TaggedEngine<'a, P> {
         TaggedEngine(match dense {
             Some(store) => Kind::Dense(Machine::new(dfg, mem, cfg, probe, backend, store)),
             None => {
-                let store = dfg.nodes.iter().map(|n| SparseRows::new(n.ins.len())).collect();
+                let store = dfg.nodes().map(|n| SparseRows::new(n.ins().len())).collect();
                 Kind::Sparse(Machine::new(dfg, mem, cfg, probe, backend, store))
             }
         })
@@ -423,7 +423,7 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
                 let Some((n, t)) = self.ready.pop_front() else { break };
                 considered += 1;
                 if let Some(fs) = self.core.faults.as_mut() {
-                    let label = &self.dfg.nodes[n as usize].label;
+                    let label = self.dfg.node(NodeId(n)).label();
                     if fs.stick(&mut self.core.probe, self.core.cycle, n, label) {
                         // The stuck activation keeps its queue slot but never
                         // fires; the run spins until a watchdog or the cycle
@@ -544,8 +544,8 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
         // Only spaces with allocate-side demand are worth starving:
         // stealing a pool nothing draws from perturbs nothing.
         let demanded = |space: usize| {
-            self.dfg.nodes.iter().any(
-                |n| matches!(&n.kind, NodeKind::Allocate { space: s, .. } if s.0 as usize == space),
+            self.dfg.nodes().any(
+                |n| matches!(n.kind(), NodeKind::Allocate { space: s, .. } if s.0 as usize == space),
             )
         };
         let victim = match &self.backend {
@@ -586,8 +586,8 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
     /// must not deliver it.
     fn fault_perturb_emission(&mut self, target: PortRef, tag: u64, val: &mut Value) -> bool {
         let (node, port) = (target.node.0, target.port);
-        let n = &self.dfg.nodes[node as usize];
-        let (label, block) = (&n.label, n.block.0);
+        let n = self.dfg.node(NodeId(node));
+        let (label, block) = (n.label(), n.block().0);
         let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
         let fs = self.core.faults.as_mut().expect("caller checked");
         if fs.strike(cycle, FaultKind::TokenDrop) {
@@ -614,7 +614,7 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
         // port reference) would send the token to an arbitrary graph index —
         // a harness crash, not a simulated fault — so that one port is
         // exempt.
-        let dyn_target = port == 1 && matches!(n.kind, NodeKind::ChangeTagDyn);
+        let dyn_target = port == 1 && matches!(n.kind(), NodeKind::ChangeTagDyn);
         if !dyn_target && fs.strike(cycle, FaultKind::TokenCorrupt) {
             let before = *val;
             *val ^= fs.mask();
@@ -632,10 +632,11 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
     fn pending_report(&self) -> Vec<String> {
         let mut out = Vec::new();
         let describe = |&(n, t): &(u32, u64)| {
-            let node = &self.dfg.nodes[n as usize];
+            let node = self.dfg.node(NodeId(n));
             format!(
                 "{} (tag {t}, block '{}')",
-                node.label, self.dfg.blocks[node.block.0 as usize].name
+                node.label(),
+                self.dfg.blocks[node.block().0 as usize].name
             )
         };
         match &self.backend {
@@ -789,7 +790,7 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
     fn emit_mem(&mut self, node: u32, n: &PlanNode, tag: u64, mut val: Value, latency: u64) {
         let mut extra = 0u64;
         if let Some(fs) = self.core.faults.as_mut() {
-            let label = &self.dfg.nodes[node as usize].label;
+            let label = self.dfg.node(NodeId(node)).label();
             let is_load = matches!(n.op, Op::Load);
             let (cycle, probe) = (self.core.cycle, &mut self.core.probe);
             extra = fs.perturb_mem_response(probe, cycle, node, label, is_load, &mut val);
@@ -826,13 +827,13 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
     /// context's return tokens concurrently with the root free.
     fn scan_freed_tag(&self, space: BlockId, tag: u64) -> Result<(), SimError> {
         const FLAGS: u64 = IN_QUEUE | IN_PENDING | AL_POPPED;
-        for (ni, n) in self.dfg.nodes.iter().enumerate() {
-            if n.block != space || matches!(n.kind, NodeKind::Sink) {
+        for (ni, n) in self.dfg.nodes().enumerate() {
+            if n.block() != space || matches!(n.kind(), NodeKind::Sink) {
                 continue;
             }
             if self.store[ni].present(tag) & !FLAGS != 0 {
                 return Err(SimError::UseAfterFree {
-                    node: n.label.clone(),
+                    node: n.label().to_string(),
                     block: self.dfg.blocks[space.0 as usize].name.clone(),
                     tag,
                 });
@@ -861,7 +862,7 @@ impl<'a, P: Probe, S: Rows> Machine<'a, P, S> {
         let mut wide = Vec::new();
         if n.n_ins > 3 && matches!(n.op, Op::Merge | Op::Sink) {
             let imm = |k: &InKind| if let InKind::Imm(c) = k { *c } else { 0 };
-            wide = self.dfg.nodes[idx].ins.iter().map(imm).collect();
+            wide = self.dfg.node(NodeId(idx as u32)).ins().iter().map(imm).collect();
         }
         let v: &mut [Value] = if wide.is_empty() { &mut narrow } else { &mut wide };
         // `allocate` takes its request (port 0) and, if present, its ready
@@ -1150,19 +1151,11 @@ mod tests {
         let mut dfg = lower_tagged(&p, TaggingDiscipline::Tyr).unwrap();
         let body = dfg.block_by_name("sum").unwrap();
         let producer = dfg
-            .nodes
-            .iter()
-            .position(|n| n.block == body && matches!(n.kind, NodeKind::Alu(_)))
+            .nodes()
+            .position(|n| n.block() == body && matches!(n.kind(), NodeKind::Alu(_)))
             .expect("loop body has an alu node");
-        let orphan = NodeId(dfg.nodes.len() as u32);
-        dfg.nodes.push(tyr_dfg::Node {
-            kind: NodeKind::Join,
-            block: body,
-            ins: vec![InKind::Wire, InKind::Wire],
-            outs: vec![Vec::new()],
-            label: "leaky".into(),
-        });
-        dfg.nodes[producer].outs[0].push(PortRef { node: orphan, port: 0 });
+        let orphan = dfg.push_node(NodeKind::Join, body, &[InKind::Wire, InKind::Wire], 1, "leaky");
+        dfg.push_target(NodeId(producer as u32), 0, PortRef { node: orphan, port: 0 });
 
         let cfg = TaggedConfig {
             tag_policy: TagPolicy::local(4),
@@ -1228,7 +1221,7 @@ mod tests {
         let p = pb.finish(f, [total, last, n]);
 
         let dfg = lower_tagged(&p, TaggingDiscipline::UnorderedUnbounded).unwrap();
-        let wide = dfg.nodes.iter().filter(|n| n.ins.len() > 2).count();
+        let wide = dfg.nodes().filter(|n| n.ins().len() > 2).count();
         assert!(wide >= 2, "select and sink are three-port nodes");
         let mut mem = MemoryImage::new();
         let oracle = interp::run(&p, &mut mem, &[40]).unwrap();
@@ -1772,7 +1765,7 @@ mod store_size_tests {
         assert_eq!(r.store_peaks.len(), dfg.blocks.len());
         for (name, peak) in &r.store_peaks {
             let members =
-                dfg.nodes.iter().filter(|n| dfg.blocks[n.block.0 as usize].name == *name).count()
+                dfg.nodes().filter(|n| dfg.blocks[n.block().0 as usize].name == *name).count()
                     as u64;
             let bound = tags as u64 * members * dfg.max_wired_inputs() as u64;
             assert!(peak <= &bound, "block '{name}': {peak} > {bound}");

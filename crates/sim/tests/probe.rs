@@ -195,10 +195,9 @@ fn ordered_attributes_back_pressure() {
     let p = pb.finish(f, [out]);
     let dfg = lower_ordered(&p).unwrap();
     let cm = dfg
-        .nodes
-        .iter()
+        .nodes()
         .position(
-            |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+            |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
         )
         .expect("a primed loop-carry CMerge") as u32;
     let cfg = OrderedConfig { depth_overrides: vec![((cm, 0), 0)], ..OrderedConfig::default() };

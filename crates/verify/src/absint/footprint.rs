@@ -129,8 +129,8 @@ pub(crate) fn analyze_footprint_with(
     let mut unbounded: BTreeMap<u32, Vec<UnboundedAccess>> = BTreeMap::new();
     let mut touched_blocks: Vec<u32> = Vec::new();
 
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        let write = match node.kind {
+    for (ni, node) in dfg.nodes().enumerate() {
+        let write = match node.kind() {
             NodeKind::Load => false,
             NodeKind::Store | NodeKind::StoreAdd => true,
             _ => continue,
@@ -139,7 +139,7 @@ pub(crate) fn analyze_footprint_with(
         if addr.is_bottom() {
             continue; // no token ever reaches this access
         }
-        let b = node.block.0;
+        let b = node.block().0;
         if !touched_blocks.contains(&b) {
             touched_blocks.push(b);
         }

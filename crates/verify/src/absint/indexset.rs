@@ -23,7 +23,7 @@
 //!
 //! [`si`]: crate::absint::si
 
-use tyr_dfg::{Dfg, NodeKind};
+use tyr_dfg::{Dfg, NodeId, NodeKind};
 use tyr_ir::{AluOp, MemoryImage, Value};
 
 use crate::absint::si::Si;
@@ -160,8 +160,8 @@ impl Analysis for IndexAnalysis<'_> {
     }
 
     fn transfer(&self, dfg: &Dfg, node: usize, input: &mut dyn FnMut(u16) -> AbsVal) -> AbsVal {
-        let n = &dfg.nodes[node];
-        match &n.kind {
+        let n = dfg.node(NodeId(node as u32));
+        match n.kind() {
             NodeKind::Const(v) => self.classify(*v),
             // The source's per-port argument values are produced by
             // `output`; the node value itself is irrelevant.
@@ -200,7 +200,7 @@ impl Analysis for IndexAnalysis<'_> {
             NodeKind::ChangeTagDyn => input(2),
             NodeKind::Merge | NodeKind::CMerge { .. } => {
                 let mut v = AbsVal::default();
-                for p in 0..n.ins.len() {
+                for p in 0..n.ins().len() {
                     v.join_from(&input(p as u16));
                 }
                 v
@@ -208,7 +208,7 @@ impl Analysis for IndexAnalysis<'_> {
             // Loads, remaining ALU ops, allocation, control: an unknown
             // number once any input is live, never a pointer.
             _ => {
-                if (0..n.ins.len()).any(|p| !input(p as u16).is_bottom()) {
+                if (0..n.ins().len()).any(|p| !input(p as u16).is_bottom()) {
                     AbsVal::unknown()
                 } else {
                     AbsVal::default()
@@ -218,7 +218,7 @@ impl Analysis for IndexAnalysis<'_> {
     }
 
     fn output(&self, dfg: &Dfg, node: usize, port: u16, value: &AbsVal) -> AbsVal {
-        if matches!(dfg.nodes[node].kind, NodeKind::Source) {
+        if matches!(dfg.node(NodeId(node as u32)).kind(), NodeKind::Source) {
             return match self.args.get(port as usize) {
                 Some(&v) => self.classify(v),
                 None => AbsVal::default(),

@@ -141,10 +141,10 @@ impl EdgeMaps {
     /// from the producer lists (the target node still counts for
     /// reachability).
     pub fn new(dfg: &Dfg) -> Self {
-        let n = dfg.nodes.len();
+        let n = dfg.len();
         let mut port_base = vec![0u32; n + 1];
-        for (ni, node) in dfg.nodes.iter().enumerate() {
-            port_base[ni + 1] = port_base[ni] + node.ins.len() as u32;
+        for (ni, node) in dfg.nodes().enumerate() {
+            port_base[ni + 1] = port_base[ni] + node.ins().len() as u32;
         }
 
         // Successors, row by row: a node's static targets, then its dynamic
@@ -153,15 +153,15 @@ impl EdgeMaps {
         off.push(0u32);
         let mut ids: Vec<NodeId> = Vec::new();
         let mut dyn_start = Vec::with_capacity(n);
-        for (ni, node) in dfg.nodes.iter().enumerate() {
+        for (ni, node) in dfg.nodes().enumerate() {
             let row = ids.len();
-            for t in node.outs.iter().flatten() {
+            for t in node.outs().iter().flatten() {
                 if (t.node.0 as usize) < n && !ids[row..].contains(&t.node) {
                     ids.push(t.node);
                 }
             }
             dyn_start.push(ids.len() as u32);
-            if matches!(node.kind, NodeKind::ChangeTagDyn) {
+            if matches!(node.kind(), NodeKind::ChangeTagDyn) {
                 for t in dyn_targets(dfg, NodeId(ni as u32)) {
                     if !ids[row..].contains(&t.node) {
                         ids.push(t.node);
@@ -192,7 +192,7 @@ impl EdgeMaps {
         // Producers, per flat input port, in edge order.
         let flat_port = |e: &Edge| {
             let to = e.to.0 as usize;
-            let ports = dfg.nodes.get(to)?.ins.len();
+            let ports = dfg.get(e.to)?.ins().len();
             ((e.to_port as usize) < ports).then(|| port_base[to] as usize + e.to_port as usize)
         };
         let mut counts = vec![0u32; port_base[n] as usize + 1];
@@ -288,7 +288,7 @@ pub fn input_value<A: Analysis>(
     node: usize,
     port: u16,
 ) -> A::Value {
-    match dfg.nodes[node].ins.get(port as usize) {
+    match dfg.node(NodeId(node as u32)).ins().get(port as usize) {
         Some(InKind::Imm(v)) => analysis.immediate(dfg, node, port, *v),
         Some(InKind::Wire) => {
             let mut acc = A::Value::bottom();
@@ -310,7 +310,7 @@ pub fn input_value<A: Analysis>(
 /// with a correct [`widen`](Analysis::widen) the loop terminates on any
 /// graph, cyclic or not.
 pub fn fixpoint<A: Analysis>(dfg: &Dfg, maps: &EdgeMaps, analysis: &A) -> Vec<A::Value> {
-    let n = dfg.nodes.len();
+    let n = dfg.len();
     let mut values: Vec<A::Value> = vec![A::Value::bottom(); n];
     let mut updates: Vec<u32> = vec![0; n];
     let mut queued = vec![true; n];
@@ -368,10 +368,10 @@ mod tests {
             false
         }
         fn transfer(&self, dfg: &Dfg, node: usize, input: &mut dyn FnMut(u16) -> bool) -> bool {
-            if matches!(dfg.nodes[node].kind, NodeKind::Source) {
+            if matches!(dfg.node(NodeId(node as u32)).kind(), NodeKind::Source) {
                 return true;
             }
-            (0..dfg.nodes[node].ins.len()).any(|p| input(p as u16))
+            (0..dfg.node(NodeId(node as u32)).ins().len()).any(|p| input(p as u16))
         }
     }
 
@@ -411,8 +411,8 @@ mod tests {
     #[test]
     fn edge_maps_drop_broken_edges() {
         let mut dfg = diamond();
-        dfg.nodes[0].outs[0].push(PortRef { node: NodeId(999), port: 0 });
-        dfg.nodes[0].outs[0].push(PortRef { node: NodeId(3), port: 999 });
+        dfg.push_target(NodeId(0), 0, PortRef { node: NodeId(999), port: 0 });
+        dfg.push_target(NodeId(0), 0, PortRef { node: NodeId(3), port: 999 });
         let maps = EdgeMaps::new(&dfg);
         assert!((0..2).flat_map(|p| maps.producers(3, p)).all(|&(p, _)| p.0 < dfg.len() as u32));
         // The missing-node edge vanishes entirely; the missing-port edge
@@ -431,9 +431,9 @@ mod tests {
     }
 
     fn nested_maps(dfg: &Dfg) -> NestedMaps {
-        let n = dfg.nodes.len();
+        let n = dfg.len();
         let mut producers: Vec<Vec<Vec<(NodeId, u16)>>> =
-            dfg.nodes.iter().map(|node| vec![Vec::new(); node.ins.len()]).collect();
+            dfg.nodes().map(|node| vec![Vec::new(); node.ins().len()]).collect();
         let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut add_adj = |from: NodeId, to: NodeId| {
@@ -456,8 +456,8 @@ mod tests {
                 }
             }
         }
-        for (ni, node) in dfg.nodes.iter().enumerate() {
-            if matches!(node.kind, NodeKind::ChangeTagDyn) {
+        for (ni, node) in dfg.nodes().enumerate() {
+            if matches!(node.kind(), NodeKind::ChangeTagDyn) {
                 for t in dyn_targets(dfg, NodeId(ni as u32)) {
                     add_adj(NodeId(ni as u32), t.node);
                 }
@@ -469,15 +469,18 @@ mod tests {
     fn assert_matches_reference(what: &str, dfg: &Dfg) {
         let maps = EdgeMaps::new(dfg);
         let want = nested_maps(dfg);
-        assert_eq!(maps.succs.len(), dfg.nodes.len(), "{what}");
-        assert_eq!(maps.preds.len(), dfg.nodes.len(), "{what}");
-        for (ni, node) in dfg.nodes.iter().enumerate() {
+        assert_eq!(maps.succs.len(), dfg.len(), "{what}");
+        assert_eq!(maps.preds.len(), dfg.len(), "{what}");
+        for (ni, node) in dfg.nodes().enumerate() {
             assert_eq!(&maps.succs[ni], want.succs[ni], "{what}: succs[{ni}]");
             assert_eq!(&maps.preds[ni], want.preds[ni], "{what}: preds[{ni}]");
             for (p, list) in want.producers[ni].iter().enumerate() {
                 assert_eq!(maps.producers(ni, p), list, "{what}: producers({ni}, {p})");
             }
-            assert!(maps.producers(ni, node.ins.len()).is_empty(), "{what}: n{ni} past its ports");
+            assert!(
+                maps.producers(ni, node.ins().len()).is_empty(),
+                "{what}: n{ni} past its ports"
+            );
             let dynamic = &want.succs[ni][maps.succs[ni].len() - maps.dyn_succs(ni).len()..];
             assert_eq!(maps.dyn_succs(ni), dynamic, "{what}: dyn_succs({ni})");
         }
@@ -532,8 +535,7 @@ mod tests {
             out.push((format!("{name}/ordered"), lower_ordered(program).unwrap()));
         }
         assert!(
-            out.iter()
-                .any(|(_, g)| g.nodes.iter().any(|n| matches!(n.kind, NodeKind::ChangeTagDyn))),
+            out.iter().any(|(_, g)| g.nodes().any(|n| matches!(n.kind(), NodeKind::ChangeTagDyn))),
             "the corpus must exercise synthesized edges"
         );
         out
@@ -544,25 +546,25 @@ mod tests {
     /// self-loop, all four at once, and static edges beside the dynamic
     /// ones.
     fn mutations(dfg: &Dfg) -> Vec<(&'static str, Dfg)> {
-        let n = dfg.nodes.len();
+        let n = dfg.len();
         let mut sites = vec![0, n / 2, n - 1];
         sites.dedup();
         let edit = |g: &mut Dfg, kind: usize, k: usize| {
-            let node = &mut g.nodes[k];
-            if node.outs.is_empty() {
-                node.outs.push(Vec::new());
+            let id = NodeId(k as u32);
+            if g.node(id).outs().is_empty() {
+                g.push_port(id);
             }
             let extra = match kind {
                 0 => PortRef { node: NodeId(n as u32 + 7), port: 0 },
                 1 => PortRef { node: NodeId(((k + 1) % n) as u32), port: 999 },
-                2 => match node.outs.iter().flatten().next() {
+                2 => match g.node(id).outs().iter().flatten().next() {
                     Some(&t) => t,
                     None => return,
                 },
-                _ => PortRef { node: NodeId(k as u32), port: 0 },
+                _ => PortRef { node: id, port: 0 },
             };
-            let q = k % node.outs.len();
-            node.outs[q].push(extra);
+            let q = k % g.node(id).outs().len();
+            g.push_target(id, q as u16, extra);
         };
         let names = ["missing-node", "missing-port", "duplicate", "self-loop"];
         let mut out: Vec<(&'static str, Dfg)> = names
@@ -583,13 +585,15 @@ mod tests {
         // target's predecessors mix static and dynamic sources with the
         // static one numbered higher: their order is then observable.
         let mut mixed = dfg.clone();
-        let last = &mut mixed.nodes[n - 1];
-        if last.outs.is_empty() {
-            last.outs.push(Vec::new());
+        let last = NodeId(n as u32 - 1);
+        if mixed.node(last).outs().is_empty() {
+            mixed.push_port(last);
         }
-        for (ni, node) in dfg.nodes.iter().enumerate() {
-            if matches!(node.kind, NodeKind::ChangeTagDyn) {
-                mixed.nodes[n - 1].outs[0].extend(dyn_targets(dfg, NodeId(ni as u32)));
+        for (ni, node) in dfg.nodes().enumerate() {
+            if matches!(node.kind(), NodeKind::ChangeTagDyn) {
+                for t in dyn_targets(dfg, NodeId(ni as u32)) {
+                    mixed.push_target(last, 0, t);
+                }
             }
         }
         out.push(("static-beside-dynamic", mixed));

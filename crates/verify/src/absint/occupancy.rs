@@ -89,12 +89,12 @@ impl Analysis for Levels {
     }
 
     fn transfer(&self, dfg: &Dfg, node: usize, input: &mut dyn FnMut(u16) -> Level) -> Level {
-        let n = &dfg.nodes[node];
-        if matches!(n.kind, NodeKind::Source) {
+        let n = dfg.node(NodeId(node as u32));
+        if matches!(n.kind(), NodeKind::Source) {
             return Level::Depth(0);
         }
         let mut acc = Level::Bottom;
-        for (p, kind) in n.ins.iter().enumerate() {
+        for (p, kind) in n.ins().iter().enumerate() {
             if matches!(kind, InKind::Wire) {
                 acc.join_from(&input(p as u16));
             }
@@ -139,7 +139,7 @@ pub struct ChannelDepths {
 
 /// Computes the per-edge depth obligations.
 pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
-    let n = dfg.nodes.len();
+    let n = dfg.len();
     let live = reach(&maps.succs, [dfg.source]);
     let levels = fixpoint(dfg, maps, &Levels);
 
@@ -158,8 +158,8 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
 
     let mut min = Vec::with_capacity(n);
     let mut recommended = Vec::with_capacity(n);
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        let ports = node.ins.len();
+    for (ni, node) in dfg.nodes().enumerate() {
+        let ports = node.ins().len();
         let mut m = vec![0usize; ports];
         let mut r = vec![0usize; ports];
         // The deepest live input level, for imbalance.
@@ -168,7 +168,7 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
             let (fed, lvl) = port_info(ni, p);
             if fed {
                 deepest.join_from(&lvl);
-                *mp = match &node.kind {
+                *mp = match node.kind() {
                     // The primed control tokens must fit alongside flow.
                     NodeKind::CMerge { initial_ctl } if p == 0 => initial_ctl.len().max(1),
                     _ => 1,
@@ -199,19 +199,16 @@ pub fn analyze_channel_depths(dfg: &Dfg, maps: &EdgeMaps) -> ChannelDepths {
             let head = cycle
                 .iter()
                 .find(|&&c| {
-                    matches!(&dfg.nodes[c.0 as usize].kind,
+                    matches!(dfg.node(c).kind(),
                              NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty())
                 })
-                .or_else(|| {
-                    cycle.iter().find(|&&c| matches!(dfg.nodes[c.0 as usize].kind, NodeKind::Steer))
-                });
+                .or_else(|| cycle.iter().find(|&&c| matches!(dfg.node(c).kind(), NodeKind::Steer)));
             let Some(&head) = head else { return false };
             let deciders = maps.producers(head.0 as usize, 0).iter().map(|&(p, _)| p);
             let slice = reach(&maps.preds, deciders);
-            slice
-                .iter()
-                .enumerate()
-                .any(|(i, &in_slice)| in_slice && matches!(dfg.nodes[i].kind, NodeKind::Load))
+            slice.iter().enumerate().any(|(i, &in_slice)| {
+                in_slice && matches!(dfg.node(NodeId(i as u32)).kind(), NodeKind::Load)
+            })
         })
         .collect();
 
@@ -236,19 +233,16 @@ pub(crate) fn check_channel_capacity_with(
 
     let mut at_min = 0usize;
     let mut suggest = 0usize;
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        for p in 0..node.ins.len() {
+    for (ni, node) in dfg.nodes().enumerate() {
+        for p in 0..node.ins().len() {
             let need = depths.min[ni][p];
             if need == 0 {
                 continue;
             }
             let cap = caps.of(ni as u32, p as u16);
             if cap < need {
-                let feeders: Vec<&str> = maps
-                    .producers(ni, p)
-                    .iter()
-                    .map(|&(q, _)| dfg.nodes[q.0 as usize].label.as_str())
-                    .collect();
+                let feeders: Vec<&str> =
+                    maps.producers(ni, p).iter().map(|&(q, _)| dfg.node(q).label()).collect();
                 out.push(Diagnostic::at_node(
                     Code::ChannelBelowMinimum,
                     dfg,
@@ -273,7 +267,7 @@ pub(crate) fn check_channel_capacity_with(
         }
         let zero_slack = cycle.iter().any(|&c| {
             let ni = c.0 as usize;
-            (0..dfg.nodes[ni].ins.len()).any(|p| {
+            (0..dfg.node(NodeId(ni as u32)).ins().len()).any(|p| {
                 depths.min[ni][p] > 0
                     && caps.of(ni as u32, p as u16) == depths.min[ni][p]
                     && maps.producers(ni, p).iter().any(|(q, _)| cycle.contains(q))
@@ -283,7 +277,7 @@ pub(crate) fn check_channel_capacity_with(
             continue;
         }
         let head = cycle.iter().min().copied().unwrap_or(NodeId(0));
-        let block = dfg.nodes[head.0 as usize].block;
+        let block = dfg.node(head).block();
         out.push(Diagnostic::at_block(
             Code::DataDependentCycle,
             dfg,
@@ -411,8 +405,8 @@ mod tests {
         let maps = EdgeMaps::new(&dfg);
         let d = analyze_channel_depths(&dfg, &maps);
         // Every wired port of a live node with a live producer needs ≥ 1.
-        for (ni, node) in dfg.nodes.iter().enumerate() {
-            for p in 0..node.ins.len() {
+        for (ni, node) in dfg.nodes().enumerate() {
+            for p in 0..node.ins().len() {
                 if d.min[ni][p] > 0 {
                     assert!(d.recommended[ni][p] >= d.min[ni][p]);
                 }
@@ -435,10 +429,9 @@ mod tests {
         assert_eq!(diags[0].code, Code::ChannelAtMinimum);
         // A zero-capacity live edge: guaranteed deadlock, an error.
         let cm = dfg
-            .nodes
-            .iter()
+            .nodes()
             .position(
-                |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+                |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
             )
             .unwrap() as u32;
         let caps = ChannelCapacity::uniform(4).with_override(cm, 0, 0);
@@ -480,10 +473,9 @@ mod tests {
             assert_eq!(r.returns, vec![300]);
         }
         let cm = dfg
-            .nodes
-            .iter()
+            .nodes()
             .position(
-                |n| matches!(&n.kind, NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
+                |n| matches!(n.kind(), NodeKind::CMerge { initial_ctl } if !initial_ctl.is_empty()),
             )
             .unwrap() as u32;
         assert!(check_channel_capacity(&dfg, &ChannelCapacity::uniform(4).with_override(cm, 0, 0))

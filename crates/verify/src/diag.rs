@@ -307,9 +307,9 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// A diagnostic anchored to `node` of `dfg`.
     pub fn at_node(code: Code, dfg: &Dfg, node: NodeId, message: impl Into<String>) -> Self {
-        let (block, loc) = match dfg.nodes.get(node.0 as usize) {
+        let (block, loc) = match dfg.get(node) {
             Some(n) => {
-                (Some(n.block), format!("{node} '{}' ({})", n.label, block_loc(dfg, n.block)))
+                (Some(n.block()), format!("{node} '{}' ({})", n.label(), block_loc(dfg, n.block())))
             }
             None => (None, format!("{node}")),
         };

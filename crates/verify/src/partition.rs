@@ -103,10 +103,9 @@ impl ShardPlan {
 
 /// Wired-input-port count of block `bi` — the vertex weight.
 fn block_ports(dfg: &Dfg, bi: usize) -> u64 {
-    dfg.nodes
-        .iter()
-        .filter(|n| n.block.0 as usize == bi)
-        .map(|n| n.ins.iter().filter(|i| matches!(i, InKind::Wire)).count() as u64)
+    dfg.nodes()
+        .filter(|n| n.block().0 as usize == bi)
+        .map(|n| n.ins().iter().filter(|i| matches!(i, InKind::Wire)).count() as u64)
         .sum()
 }
 
@@ -122,17 +121,17 @@ fn mix64(mut z: u64) -> u64 {
 /// to_block)` pairs with multiplicity, `changeTag.dyn` routing included.
 fn inter_block_edges(dfg: &Dfg) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
-    let block_of = |n: NodeId| dfg.nodes[n.0 as usize].block.0;
+    let block_of = |n: NodeId| dfg.node(n).block().0;
     for e in dfg.edges() {
         let (a, b) = (block_of(e.from), block_of(e.to));
         if a != b {
             out.push((a, b));
         }
     }
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        if matches!(node.kind, NodeKind::ChangeTagDyn) {
+    for (ni, node) in dfg.nodes().enumerate() {
+        if matches!(node.kind(), NodeKind::ChangeTagDyn) {
             for t in dyn_targets(dfg, NodeId(ni as u32)) {
-                let (a, b) = (node.block.0, block_of(t.node));
+                let (a, b) = (node.block().0, block_of(t.node));
                 if a != b {
                     out.push((a, b));
                 }

@@ -32,10 +32,9 @@ pub fn check_barrier_coverage(dfg: &Dfg) -> Vec<Diagnostic> {
 /// [`check_barrier_coverage`] over already-built edge maps.
 pub(crate) fn check_barrier_coverage_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
     let frees: Vec<NodeId> = dfg
-        .nodes
-        .iter()
+        .nodes()
         .enumerate()
-        .filter(|(_, n)| matches!(n.kind, NodeKind::Free { .. }))
+        .filter(|(_, n)| matches!(n.kind(), NodeKind::Free { .. }))
         .map(|(i, _)| NodeId(i as u32))
         .collect();
     if frees.is_empty() {
@@ -47,11 +46,8 @@ pub(crate) fn check_barrier_coverage_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Dia
     // Per block: the set of nodes reaching any of *that block's* frees.
     let mut reaches_block_free: Vec<Option<Vec<bool>>> = vec![None; dfg.blocks.len()];
     for (b, entry) in reaches_block_free.iter_mut().enumerate() {
-        let starts: Vec<NodeId> = frees
-            .iter()
-            .copied()
-            .filter(|f| dfg.nodes[f.0 as usize].block.0 as usize == b)
-            .collect();
+        let starts: Vec<NodeId> =
+            frees.iter().copied().filter(|f| dfg.node(*f).block().0 as usize == b).collect();
         if !starts.is_empty() {
             *entry = Some(reach(&maps.preds, starts));
         }
@@ -61,11 +57,11 @@ pub(crate) fn check_barrier_coverage_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Dia
     let reaches_any_free = reach(&maps.preds, frees.iter().copied());
 
     let mut out = Vec::new();
-    for (ni, n) in dfg.nodes.iter().enumerate() {
+    for (ni, n) in dfg.nodes().enumerate() {
         if reaches_sink[ni] {
             continue;
         }
-        let covered = match reaches_block_free.get(n.block.0 as usize) {
+        let covered = match reaches_block_free.get(n.block().0 as usize) {
             Some(Some(own)) => own[ni],
             _ => reaches_any_free[ni],
         };

@@ -30,9 +30,9 @@ pub(crate) fn check_lints_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // L001: dangling data outputs.
-    for (ni, n) in dfg.nodes.iter().enumerate() {
+    for (ni, n) in dfg.nodes().enumerate() {
         let value_producing = matches!(
-            n.kind,
+            n.kind(),
             NodeKind::Alu(_)
                 | NodeKind::Load
                 | NodeKind::Select
@@ -43,7 +43,7 @@ pub(crate) fn check_lints_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
                 | NodeKind::Const(_)
                 | NodeKind::CMerge { .. }
         );
-        if value_producing && n.outs.first().is_some_and(|t| t.is_empty()) {
+        if value_producing && n.outs().get(0).is_some_and(|t| t.is_empty()) {
             out.push(Diagnostic::at_node(
                 Code::DanglingOutput,
                 dfg,
@@ -55,8 +55,8 @@ pub(crate) fn check_lints_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
 
     // L002: unreachable from the source.
     let live = reach(&maps.succs, [dfg.source]);
-    for (ni, n) in dfg.nodes.iter().enumerate() {
-        if !live[ni] && !matches!(n.kind, NodeKind::Source) {
+    for (ni, n) in dfg.nodes().enumerate() {
+        if !live[ni] && !matches!(n.kind(), NodeKind::Source) {
             out.push(Diagnostic::at_node(
                 Code::UnreachableNode,
                 dfg,
@@ -67,13 +67,13 @@ pub(crate) fn check_lints_with(dfg: &Dfg, maps: &EdgeMaps) -> Vec<Diagnostic> {
     }
 
     // L003: allocate with no reachable free of its space.
-    let any_free = dfg.nodes.iter().any(|n| matches!(n.kind, NodeKind::Free { .. }));
+    let any_free = dfg.nodes().any(|n| matches!(n.kind(), NodeKind::Free { .. }));
     if any_free {
-        for (ni, n) in dfg.nodes.iter().enumerate() {
-            let NodeKind::Allocate { space, .. } = n.kind else { continue };
+        for (ni, n) in dfg.nodes().enumerate() {
+            let NodeKind::Allocate { space, .. } = n.kind() else { continue };
             let cone = reach(&maps.succs, [NodeId(ni as u32)]);
-            let freed = dfg.nodes.iter().enumerate().any(|(mi, m)| {
-                cone[mi] && matches!(m.kind, NodeKind::Free { space: s } if s == space)
+            let freed = dfg.nodes().enumerate().any(|(mi, m)| {
+                cone[mi] && matches!(m.kind(), NodeKind::Free { space: s } if s == space)
             });
             if !freed {
                 out.push(Diagnostic::at_node(

@@ -54,36 +54,35 @@ use crate::absint::Rows;
 /// the real lowering only ever routes immediate-encoded targets.
 pub(crate) fn dyn_targets(dfg: &Dfg, node: NodeId) -> Vec<PortRef> {
     let mut out = Vec::new();
-    let mut seen = vec![false; dfg.nodes.len()];
+    let mut seen = vec![false; dfg.len()];
     // Work item: an input port whose incoming value we want to enumerate.
     let mut work: Vec<(NodeId, u16)> = vec![(node, 1)];
     let collect = |out: &mut Vec<PortRef>, v: i64| {
         let p = PortRef::decode(v);
         let valid = dfg
-            .nodes
-            .get(p.node.0 as usize)
-            .and_then(|n| n.ins.get(p.port as usize))
+            .get(p.node)
+            .and_then(|n| n.ins().get(p.port as usize))
             .is_some_and(|i| matches!(i, InKind::Wire));
         if valid && !out.contains(&p) {
             out.push(p);
         }
     };
     while let Some((nid, port)) = work.pop() {
-        let Some(n) = dfg.nodes.get(nid.0 as usize) else { continue };
-        if let Some(InKind::Imm(v)) = n.ins.get(port as usize) {
+        let Some(n) = dfg.get(nid) else { continue };
+        if let Some(InKind::Imm(v)) = n.ins().get(port as usize) {
             collect(&mut out, *v);
             continue;
         }
         // Find every producer wired into (nid, port) and recurse through its
         // value path.
-        for (pi, p) in dfg.nodes.iter().enumerate() {
-            let feeds = p.outs.iter().flatten().any(|t| t.node == nid && t.port == port);
+        for (pi, p) in dfg.nodes().enumerate() {
+            let feeds = p.outs().iter().flatten().any(|t| t.node == nid && t.port == port);
             if !feeds || seen[pi] {
                 continue;
             }
             seen[pi] = true;
             let pid = NodeId(pi as u32);
-            match &p.kind {
+            match p.kind() {
                 NodeKind::Const(v) => collect(&mut out, *v),
                 NodeKind::ChangeTag => work.push((pid, 1)),
                 NodeKind::ChangeTagDyn => work.push((pid, 2)),
@@ -95,7 +94,7 @@ pub(crate) fn dyn_targets(dfg: &Dfg, node: NodeId) -> Vec<PortRef> {
                     work.push((pid, 2));
                 }
                 NodeKind::Merge | NodeKind::CMerge { .. } => {
-                    for q in 0..p.ins.len() {
+                    for q in 0..p.ins().len() {
                         work.push((pid, q as u16));
                     }
                 }

@@ -71,7 +71,7 @@ pub(crate) fn check_races_with(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) ->
             let (a, b, ma, mb) = (x.node, y.node, &x.addr, &y.addr);
             let overlap = ma.mask & mb.mask;
             if overlap == 0
-                || dfg.nodes[a.0 as usize].block != dfg.nodes[b.0 as usize].block
+                || dfg.node(a).block() != dfg.node(b).block()
                 || !(x.kind == Acc::Store || y.kind == Acc::Store)
                 || x.ordered_with(y)
             {
@@ -94,7 +94,8 @@ pub(crate) fn check_races_with(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) ->
                         format!(
                             "unordered {what} to '{}' always collide at index {index} \
                              (with {b} '{}'); use storeAdd or add an ordering dependence",
-                            segments[segment].name, dfg.nodes[b.0 as usize].label,
+                            segments[segment].name,
+                            dfg.node(b).label(),
                         ),
                     );
                     d.severity = Severity::Error;
@@ -112,7 +113,7 @@ pub(crate) fn check_races_with(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) ->
                              (with {b} '{}'; index sets {} vs {}); if the index sets overlap, \
                              use storeAdd or add an ordering dependence",
                             seg_names(segments, overlap),
-                            dfg.nodes[b.0 as usize].label,
+                            dfg.node(b).label(),
                             render_num(ma),
                             render_num(mb),
                         ),
@@ -159,8 +160,8 @@ pub(crate) fn collect_accesses(
     keep: impl Fn(&AbsVal) -> bool,
 ) -> Vec<Access> {
     let mut out = Vec::new();
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        let kind = match node.kind {
+    for (ni, node) in dfg.nodes().enumerate() {
+        let kind = match node.kind() {
             NodeKind::Load => Acc::Load,
             NodeKind::Store => Acc::Store,
             NodeKind::StoreAdd => Acc::StoreAdd,

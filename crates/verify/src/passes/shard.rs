@@ -173,7 +173,7 @@ fn collect_cut_edges(dfg: &Dfg, maps: &EdgeMaps, node_shard: &[u32]) -> Vec<CutE
             out.push(CutEdge { from: e.from, to: e.to });
         }
     }
-    for ni in 0..dfg.nodes.len() {
+    for ni in 0..dfg.len() {
         for &to in maps.dyn_succs(ni) {
             if node_shard[ni] != node_shard[to.0 as usize] {
                 out.push(CutEdge { from: NodeId(ni as u32), to });
@@ -198,7 +198,7 @@ fn mem_claims(dfg: &Dfg, maps: &EdgeMaps, index: &IndexSets) -> MemClaims {
     for (i, x) in accesses.iter().enumerate() {
         for y in &accesses[i + 1..] {
             let (a, b, ma, mb) = (x.node, y.node, &x.addr, &y.addr);
-            let (ba, bb) = (dfg.nodes[a.0 as usize].block, dfg.nodes[b.0 as usize].block);
+            let (ba, bb) = (dfg.node(a).block(), dfg.node(b).block());
             if ba == bb || !(x.kind == Acc::Store || y.kind == Acc::Store) || x.ordered_with(y) {
                 continue;
             }
@@ -276,12 +276,11 @@ fn analyze_shards_with(
         mem.as_ref().map(|c| c.undecided.clone()).unwrap_or_default();
     let plan = partition(dfg, k, seed, &colocate);
 
-    let node_shard: Vec<u32> = dfg.nodes.iter().map(|n| plan.shard_of(n.block)).collect();
-    let boundary: Vec<bool> = (0..dfg.nodes.len())
+    let node_shard: Vec<u32> = dfg.nodes().map(|n| plan.shard_of(n.block())).collect();
+    let boundary: Vec<bool> = (0..dfg.len())
         .map(|ni| maps.preds[ni].iter().any(|p| node_shard[p.0 as usize] != node_shard[ni]))
         .collect();
-    let plain_store: Vec<bool> =
-        dfg.nodes.iter().map(|n| matches!(n.kind, NodeKind::Store)).collect();
+    let plain_store: Vec<bool> = dfg.nodes().map(|n| matches!(n.kind(), NodeKind::Store)).collect();
 
     // Concurrent-instance bound per block (tagged budgets), used to scale
     // both the per-shard boundary bound and the per-boundary traffic.
@@ -291,21 +290,24 @@ fn analyze_shards_with(
         }
         _ => None,
     };
-    let wired =
-        |ni: usize| dfg.nodes[ni].ins.iter().filter(|i| matches!(i, InKind::Wire)).count() as u64;
+    let wired = |ni: usize| {
+        dfg.node(NodeId(ni as u32)).ins().iter().filter(|i| matches!(i, InKind::Wire)).count()
+            as u64
+    };
     // Peak tokens parked at one consumer node: every wired input port holds
     // at most one token per concurrent instance of the node's block.
     let node_bound = |ni: usize| -> Option<u64> {
+        let n = dfg.node(NodeId(ni as u32));
         match budget {
             Some(ShardBudget::Tagged(_)) => {
-                match instances.as_ref().unwrap()[dfg.nodes[ni].block.0 as usize] {
+                match instances.as_ref().unwrap()[n.block().0 as usize] {
                     Instances::Bounded(i) => Some(wired(ni) * i),
                     Instances::Unbounded => None,
                 }
             }
             Some(ShardBudget::Ordered(caps)) => Some(
-                (0..dfg.nodes[ni].ins.len())
-                    .filter(|&p| matches!(dfg.nodes[ni].ins[p], InKind::Wire))
+                (0..n.ins().len())
+                    .filter(|&p| matches!(n.ins()[p], InKind::Wire))
                     .map(|p| caps.of(ni as u32, p as u16) as u64)
                     .sum(),
             ),
@@ -315,7 +317,7 @@ fn analyze_shards_with(
 
     let mut shard_inflight: Vec<Option<u64>> = vec![Some(0); plan.shards];
     let mut shard_boundary_nodes = vec![0u64; plan.shards];
-    for ni in 0..dfg.nodes.len() {
+    for ni in 0..dfg.len() {
         if !boundary[ni] {
             continue;
         }
@@ -332,7 +334,7 @@ fn analyze_shards_with(
     let edge_bound = |e: &CutEdge| -> Option<u64> {
         match budget {
             Some(ShardBudget::Tagged(_)) => {
-                match instances.as_ref().unwrap()[dfg.nodes[e.to.0 as usize].block.0 as usize] {
+                match instances.as_ref().unwrap()[dfg.node(e.to).block().0 as usize] {
                     Instances::Bounded(i) => Some(i),
                     Instances::Unbounded => None,
                 }
@@ -445,7 +447,10 @@ fn check_memory(dfg: &Dfg, cert: &ShardCertificate, out: &mut Vec<Diagnostic>) {
                     "cross-shard accesses always collide at '{}' index {} (shard {sa} vs \
                      shard {sb} {} '{}'): this cut is unsafe; colocate the blocks or use \
                      storeAdd",
-                    c.segment, c.index, c.b, dfg.nodes[c.b.0 as usize].label,
+                    c.segment,
+                    c.index,
+                    c.b,
+                    dfg.node(c.b).label(),
                 ),
             );
             d.severity = Severity::Error;
@@ -458,7 +463,10 @@ fn check_memory(dfg: &Dfg, cert: &ShardCertificate, out: &mut Vec<Diagnostic>) {
                 format!(
                     "accesses always collide at '{}' index {} (with {} '{}'); both blocks \
                      are in shard {sa}, so the cut is safe, but the same-shard race stands",
-                    c.segment, c.index, c.b, dfg.nodes[c.b.0 as usize].label,
+                    c.segment,
+                    c.index,
+                    c.b,
+                    dfg.node(c.b).label(),
                 ),
             ));
         }
@@ -550,7 +558,7 @@ fn check_progress(dfg: &Dfg, maps: &EdgeMaps, cert: &ShardCertificate, out: &mut
     // reachability with cut-edge hops until fixpoint. A cut edge is
     // *derived* once its producer is covered.
     let shard = &cert.node_shard;
-    let mut covered = vec![false; dfg.nodes.len()];
+    let mut covered = vec![false; dfg.len()];
     let mut work: Vec<NodeId> = Vec::new();
     covered[dfg.source.0 as usize] = true;
     work.push(dfg.source);
@@ -616,7 +624,8 @@ fn check_progress(dfg: &Dfg, maps: &EdgeMaps, cert: &ShardCertificate, out: &mut
                 format!(
                     "live cut edge to {} '{}' is not derivable from the source frontier: \
                      a distributed termination detector could miss work on it",
-                    e.to, dfg.nodes[e.to.0 as usize].label,
+                    e.to,
+                    dfg.node(e.to).label(),
                 ),
             );
             d.severity = Severity::Error;

@@ -15,21 +15,23 @@ use crate::diag::{Code, Diagnostic};
 /// Runs the structure pass.
 pub fn check_structure(dfg: &Dfg) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let any_free = dfg.nodes.iter().any(|n| matches!(n.kind, NodeKind::Free { .. }));
+    let any_free = dfg.nodes().any(|n| matches!(n.kind(), NodeKind::Free { .. }));
     let mut alloc_spaces: Vec<(BlockId, NodeId)> = Vec::new();
     let mut free_spaces: Vec<BlockId> = Vec::new();
 
-    for (ni, n) in dfg.nodes.iter().enumerate() {
+    for (ni, n) in dfg.nodes().enumerate() {
         let nid = NodeId(ni as u32);
-        if n.block.0 as usize >= dfg.blocks.len() {
+        if n.block().0 as usize >= dfg.blocks.len() {
             out.push(Diagnostic::at_node(
                 Code::BadBlock,
                 dfg,
                 nid,
-                format!("node's block {} is out of range ({} blocks)", n.block, dfg.blocks.len()),
+                format!("node's block {} is out of range ({} blocks)", n.block(), dfg.blocks.len()),
             ));
         }
-        if !matches!(n.kind, NodeKind::Source) && !n.ins.iter().any(|i| matches!(i, InKind::Wire)) {
+        if !matches!(n.kind(), NodeKind::Source)
+            && !n.ins().iter().any(|i| matches!(i, InKind::Wire))
+        {
             out.push(Diagnostic::at_node(
                 Code::NoWiredInputs,
                 dfg,
@@ -37,7 +39,7 @@ pub fn check_structure(dfg: &Dfg) -> Vec<Diagnostic> {
                 "node has no wired inputs, so it can never fire",
             ));
         }
-        match &n.kind {
+        match n.kind() {
             NodeKind::Allocate { space, .. } | NodeKind::Free { space } => {
                 if space.0 as usize >= dfg.blocks.len() {
                     out.push(Diagnostic::at_node(
@@ -46,7 +48,7 @@ pub fn check_structure(dfg: &Dfg) -> Vec<Diagnostic> {
                         nid,
                         format!("references nonexistent tag space {space}"),
                     ));
-                } else if matches!(n.kind, NodeKind::Free { .. }) {
+                } else if matches!(n.kind(), NodeKind::Free { .. }) {
                     free_spaces.push(*space);
                 } else {
                     alloc_spaces.push((*space, nid));
@@ -54,9 +56,9 @@ pub fn check_structure(dfg: &Dfg) -> Vec<Diagnostic> {
             }
             _ => {}
         }
-        for (pi, targets) in n.outs.iter().enumerate() {
+        for (pi, targets) in n.outs().iter().enumerate() {
             for t in targets {
-                let Some(dst) = dfg.nodes.get(t.node.0 as usize) else {
+                let Some(dst) = dfg.get(t.node) else {
                     out.push(Diagnostic::at_node(
                         Code::MissingNode,
                         dfg,
@@ -65,7 +67,7 @@ pub fn check_structure(dfg: &Dfg) -> Vec<Diagnostic> {
                     ));
                     continue;
                 };
-                match dst.ins.get(t.port as usize) {
+                match dst.ins().get(t.port as usize) {
                     Some(InKind::Wire) => {}
                     Some(InKind::Imm(_)) => out.push(Diagnostic::at_node(
                         Code::EdgeIntoImm,

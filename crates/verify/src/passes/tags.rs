@@ -55,8 +55,8 @@ impl TagDemand {
 /// Computes the static tag demand of a lowered graph.
 pub fn analyze_tag_demand(dfg: &Dfg) -> TagDemand {
     let mut per_space: Vec<(BlockId, usize)> = Vec::new();
-    for n in &dfg.nodes {
-        if let NodeKind::Allocate { space, kind } = &n.kind {
+    for n in dfg.nodes() {
+        if let NodeKind::Allocate { space, kind } = n.kind() {
             let need = 1 + kind.reserve();
             match per_space.iter_mut().find(|(s, _)| s == space) {
                 Some((_, d)) => *d = (*d).max(need),
@@ -67,9 +67,9 @@ pub fn analyze_tag_demand(dfg: &Dfg) -> TagDemand {
     per_space.sort_by_key(|&(s, _)| s.0);
 
     let is_target = |b: BlockId| per_space.iter().any(|&(s, _)| s == b);
-    let nested = dfg.nodes.iter().any(|n| match &n.kind {
+    let nested = dfg.nodes().any(|n| match n.kind() {
         NodeKind::Allocate { space, .. } => {
-            n.block != *space && n.block != ROOT_BLOCK && is_target(n.block)
+            n.block() != *space && n.block() != ROOT_BLOCK && is_target(n.block())
         }
         _ => false,
     });
@@ -214,9 +214,9 @@ mod tests {
         assert_eq!(demand.per_space.len(), 1);
         assert_eq!(demand.per_space[0].1, 2);
         // ...and the tail allocate sits in that same block:
-        assert!(dfg.nodes.iter().any(|n| matches!(
-            &n.kind,
-            NodeKind::Allocate { space, .. } if n.block == *space
+        assert!(dfg.nodes().any(|n| matches!(
+            n.kind(),
+            NodeKind::Allocate { space, .. } if n.block() == *space
         )));
         // yet the graph is not "nested" — a pool covering the flat demand
         // is predicted safe.

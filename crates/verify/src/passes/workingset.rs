@@ -29,7 +29,7 @@
 //! dominate what the matching engine actually observes.
 
 use tyr_dfg::lower::{lower_ordered, lower_tagged, TaggingDiscipline};
-use tyr_dfg::{BlockId, Dfg, InKind, NodeKind, ROOT_BLOCK};
+use tyr_dfg::{BlockId, Dfg, InKind, NodeId, NodeKind, ROOT_BLOCK};
 use tyr_ir::{MemoryImage, Program, Value};
 use tyr_sim::ordered::ChannelCapacity;
 use tyr_sim::tagged::TagPolicy;
@@ -88,12 +88,12 @@ impl LiveStateBound {
 pub fn analyze_live_state(dfg: &Dfg, policy: &TagPolicy) -> LiveStateBound {
     let demand = analyze_tag_demand(dfg);
     let allocated = |b: BlockId| demand.for_space(b).is_some();
-    let uses_newtag = dfg.nodes.iter().any(|n| matches!(n.kind, NodeKind::NewTag));
+    let uses_newtag = dfg.nodes().any(|n| matches!(n.kind(), NodeKind::NewTag));
 
     let mut ports = vec![0u64; dfg.blocks.len()];
-    for n in &dfg.nodes {
-        if let Some(p) = ports.get_mut(n.block.0 as usize) {
-            *p += n.ins.iter().filter(|i| matches!(i, InKind::Wire)).count() as u64;
+    for n in dfg.nodes() {
+        if let Some(p) = ports.get_mut(n.block().0 as usize) {
+            *p += n.ins().iter().filter(|i| matches!(i, InKind::Wire)).count() as u64;
         }
     }
 
@@ -218,8 +218,8 @@ pub(crate) fn check_edge_residency_with(dfg: &Dfg, depths: &ChannelDepths) -> Ve
     let mut fed = 0u64;
     let mut total = 0u64;
     let mut worst: Option<(usize, usize, usize)> = None; // (node, port, recommended)
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        for p in 0..node.ins.len() {
+    for (ni, node) in dfg.nodes().enumerate() {
+        for p in 0..node.ins().len() {
             let r = depths.recommended[ni][p];
             if depths.min[ni][p] == 0 {
                 continue;
@@ -238,7 +238,7 @@ pub(crate) fn check_edge_residency_with(dfg: &Dfg, depths: &ChannelDepths) -> Ve
             format!(
                 "edge token residency: {fed} fed port(s), total recommended occupancy \
                  {total} token(s); deepest residency at '{}' in{p} ({r} token(s))",
-                dfg.nodes[ni].label
+                dfg.node(NodeId(ni as u32)).label()
             ),
         )),
         None => out.push(Diagnostic::global(
@@ -337,8 +337,8 @@ pub fn ordered_live_bound(dfg: &Dfg, caps: &ChannelCapacity) -> u64 {
     let maps = EdgeMaps::new(dfg);
     let depths = analyze_channel_depths(dfg, &maps);
     let mut total = 0u64;
-    for (ni, node) in dfg.nodes.iter().enumerate() {
-        for p in 0..node.ins.len() {
+    for (ni, node) in dfg.nodes().enumerate() {
+        for p in 0..node.ins().len() {
             if depths.min[ni][p] > 0 {
                 total += caps.of(ni as u32, p as u16) as u64;
             }

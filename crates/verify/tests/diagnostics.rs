@@ -141,19 +141,12 @@ fn orphan_node_is_outside_barrier() {
     // tokens outlive the context's free.
     let body = dfg.block_by_name("sum").unwrap();
     let producer = dfg
-        .nodes
-        .iter()
-        .position(|n| n.block == body && matches!(n.kind, NodeKind::Alu(_)))
+        .nodes()
+        .position(|n| n.block() == body && matches!(n.kind(), NodeKind::Alu(_)))
         .expect("loop body has an alu node");
-    let orphan = NodeId(dfg.nodes.len() as u32);
-    dfg.nodes.push(tyr_dfg::Node {
-        kind: NodeKind::Alu(tyr_ir::AluOp::Neg),
-        block: body,
-        ins: vec![InKind::Wire],
-        outs: vec![Vec::new()],
-        label: "orphan".into(),
-    });
-    dfg.nodes[producer].outs[0].push(PortRef { node: orphan, port: 0 });
+    let orphan =
+        dfg.push_node(NodeKind::Alu(tyr_ir::AluOp::Neg), body, &[InKind::Wire], 1, "orphan");
+    dfg.push_target(NodeId(producer as u32), 0, PortRef { node: orphan, port: 0 });
 
     let report = verify("orphan", &dfg);
     assert!(report.has(Code::OutsideBarrier), "{}", report.render());
@@ -168,9 +161,9 @@ fn broken_edges_are_reported_per_node() {
     let mut dfg = lower_tagged(&single_loop_program(), TaggingDiscipline::Tyr).unwrap();
     // An edge to a port beyond the sink's inputs, and one to a node that
     // does not exist. Both anchored to the same (valid) producer.
-    let from = dfg.source.0 as usize;
-    dfg.nodes[from].outs[0].push(PortRef { node: dfg.sink, port: 999 });
-    dfg.nodes[from].outs[0].push(PortRef { node: NodeId(u32::MAX), port: 0 });
+    let from = dfg.source;
+    dfg.push_target(from, 0, PortRef { node: dfg.sink, port: 999 });
+    dfg.push_target(from, 0, PortRef { node: NodeId(u32::MAX), port: 0 });
     let report = verify("broken", &dfg);
     assert!(report.has(Code::MissingPort), "{}", report.render());
     assert!(report.has(Code::MissingNode), "{}", report.render());
@@ -214,9 +207,9 @@ fn unfreed_space_is_a_structure_error() {
     // Retarget every free of the loop's space at the root space: the loop
     // space is now allocated from but never freed into.
     let space = dfg.block_by_name("sum").unwrap();
-    for n in &mut dfg.nodes {
-        if matches!(n.kind, NodeKind::Free { space: s } if s == space) {
-            n.kind = NodeKind::Free { space: ROOT_BLOCK };
+    for id in (0..dfg.len() as u32).map(NodeId) {
+        if matches!(dfg.node(id).kind(), NodeKind::Free { space: s } if *s == space) {
+            dfg.set_kind(id, NodeKind::Free { space: ROOT_BLOCK });
         }
     }
     let report = verify("unfreed", &dfg);
@@ -230,16 +223,17 @@ fn unreachable_node_is_linted_but_call_landings_are_not() {
     // of false L002s — `real_lowerings_verify_clean` covers that. Here:
     // a genuinely unreachable island.
     let mut dfg = lower_tagged(&call_program(), TaggingDiscipline::Tyr).unwrap();
-    let a = NodeId(dfg.nodes.len() as u32);
-    let b = NodeId(dfg.nodes.len() as u32 + 1);
+    let a = NodeId(dfg.len() as u32);
+    let b = NodeId(dfg.len() as u32 + 1);
     for other in [b, a] {
-        dfg.nodes.push(tyr_dfg::Node {
-            kind: NodeKind::Alu(tyr_ir::AluOp::Mov),
-            block: ROOT_BLOCK,
-            ins: vec![InKind::Wire],
-            outs: vec![vec![PortRef { node: other, port: 0 }]],
-            label: "island".into(),
-        });
+        let n = dfg.push_node(
+            NodeKind::Alu(tyr_ir::AluOp::Mov),
+            ROOT_BLOCK,
+            &[InKind::Wire],
+            1,
+            "island",
+        );
+        dfg.push_target(n, 0, PortRef { node: other, port: 0 });
     }
     let report = verify("island", &dfg);
     let flagged: Vec<_> = report

@@ -99,7 +99,7 @@ fn race_pass_is_fast_on_the_largest_kernel() {
     let (w, dfg) = kernels
         .iter()
         .map(|w| (w, lower_tagged(&w.program, TaggingDiscipline::Tyr).unwrap()))
-        .max_by_key(|(_, d)| d.nodes.len())
+        .max_by_key(|(_, d)| d.nodes().len())
         .unwrap();
     let start = Instant::now();
     let reps = 25;
@@ -113,7 +113,7 @@ fn race_pass_is_fast_on_the_largest_kernel() {
         "{reps} race passes over {} ({} nodes) took {elapsed:?} — \
          the per-query producer scan has regressed",
         w.name,
-        dfg.nodes.len(),
+        dfg.len(),
     );
 }
 
@@ -126,7 +126,7 @@ fn workingset_pass_is_fast_on_the_largest_kernel() {
     let (w, dfg) = kernels
         .iter()
         .map(|w| (w, lower_tagged(&w.program, TaggingDiscipline::Tyr).unwrap()))
-        .max_by_key(|(_, d)| d.nodes.len())
+        .max_by_key(|(_, d)| d.nodes().len())
         .unwrap();
     let policy = TagPolicy::local(2);
     let start = Instant::now();
@@ -143,7 +143,7 @@ fn workingset_pass_is_fast_on_the_largest_kernel() {
         "{reps} working-set passes over {} ({} nodes) took {elapsed:?} — \
          the pass has regressed from one fixpoint per run",
         w.name,
-        dfg.nodes.len(),
+        dfg.len(),
     );
 }
 
@@ -218,7 +218,7 @@ fn shard_pass_is_fast_on_the_largest_kernel() {
     let (w, dfg) = kernels
         .iter()
         .map(|w| (w, lower_tagged(&w.program, TaggingDiscipline::Tyr).unwrap()))
-        .max_by_key(|(_, d)| d.nodes.len())
+        .max_by_key(|(_, d)| d.nodes().len())
         .unwrap();
     let policy = TagPolicy::local(2);
     let start = Instant::now();
@@ -232,7 +232,7 @@ fn shard_pass_is_fast_on_the_largest_kernel() {
             Some(ShardBudget::Tagged(&policy)),
             Some((&w.memory, &w.args)),
         );
-        assert_eq!(cert.node_shard.len(), dfg.nodes.len());
+        assert_eq!(cert.node_shard.len(), dfg.len());
         assert_eq!(report.errors(), 0, "{}: {}", w.name, report.render());
     }
     let elapsed = start.elapsed();
@@ -241,6 +241,6 @@ fn shard_pass_is_fast_on_the_largest_kernel() {
         "{reps} shard passes over {} ({} nodes) took {elapsed:?} — \
          the partitioner or P-pass has regressed",
         w.name,
-        dfg.nodes.len(),
+        dfg.len(),
     );
 }

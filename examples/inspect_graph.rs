@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     eprintln!("unordered (Fig. 7a style): {:>3} nodes (no barriers, global tags)", unordered.len());
     for (i, b) in tyr.blocks.iter().enumerate() {
-        let members = tyr.nodes.iter().filter(|n| n.block.0 as usize == i).count();
+        let members = tyr.nodes().filter(|n| n.block().0 as usize == i).count();
         eprintln!(
             "  block {i}: '{}' ({} instructions{})",
             b.name,
